@@ -104,6 +104,7 @@ class MessagePassingSnapshot {
   void heal() { cluster_.heal(); }
 
   std::uint64_t messages_sent() const { return cluster_.messages_sent(); }
+  RoundStats round_stats() const { return cluster_.round_stats(); }
   std::uint64_t protocol_rounds() const { return cluster_.protocol_rounds(); }
   std::uint64_t fast_reads() const { return cluster_.fast_reads(); }
   std::uint64_t fast_fallbacks() const { return cluster_.fast_fallbacks(); }
@@ -111,7 +112,7 @@ class MessagePassingSnapshot {
     return cluster_.retransmits_sent();
   }
   std::uint64_t dup_replies_ignored() const {
-    return cluster_.dup_replies_ignored();
+    return round_stats().dup_replies;
   }
   std::uint64_t round_timeouts() const { return cluster_.round_timeouts(); }
   std::size_t alive_count() const { return cluster_.alive_count(); }
@@ -148,11 +149,8 @@ class MessagePassingSnapshot {
   const AbdSupervisor<Record>* supervisor() const { return supervisor_.get(); }
 
   /// Cluster-level self-healing counters (0 when the layer is off).
-  std::uint64_t breaker_skips() const { return cluster_.breaker_skips(); }
-  std::uint64_t fail_fasts() const { return cluster_.fail_fasts(); }
-  std::uint64_t stale_epoch_replies() const {
-    return cluster_.stale_epoch_replies();
-  }
+  std::uint64_t breaker_skips() const { return round_stats().breaker_skips; }
+  std::uint64_t fail_fasts() const { return round_stats().fail_fasts; }
   std::uint64_t epoch(ProcessId i) const { return cluster_.epoch(i); }
 
  private:

@@ -1,133 +1,56 @@
-// ABD quorum client for a real socket cluster of tools/abd_replicad daemons.
+// ABD quorum client for a real socket cluster of tools/abd_replicad daemons:
+// abd::QuorumClient (quorum.hpp) over TcpTransport, which carries requests
+// and replies as wire::Frames on a net::TcpBus. Every round rule — waves,
+// dedup, the epoch and RTO rules, fast reads — is the engine's, shared with
+// the in-process AbdCluster; this file only translates between the engine's
+// Request/Reply and the wire format.
 //
-// Mirrors the client machinery of abd_register.hpp over net::TcpBus instead
-// of net::SimNetwork — the same algorithm, the same failure discipline:
-//   write(reg, ts, v): broadcast WRITE(ts, v), wait for a majority of
-//     distinct acks. The CALLER owns the timestamp and must keep it
-//     monotone per register (the single-writer regime of the paper); this
-//     also makes a timed-out write idempotently retryable with the same
-//     (ts, v) — replicas ignore stale timestamps and re-ack.
-//   read(reg): query round (majority of READ replies, adopt the max
-//     timestamp), then a write-back round of the adopted pair — the
-//     write-back upgrades regularity to atomicity exactly as in [ABD].
-//     With AbdConfig::fast_reads (default), the write-back is SKIPPED when
-//     the query quorum proves stability — unanimous ts agreement, or a
-//     reply whose wire kFlagTsConfirmed bit shows the adopted ts is already
-//     majority-acked; writers and slow-path readers broadcast
-//     fire-and-forget kConfirm frames to make that the common case. Same
-//     rule, same safety argument as AbdCluster (DESIGN.md §15).
-//
-// Loss/crash handling is the retransmission loop of AbdCluster::run_round:
-// rebroadcast with the SAME rid on a RetryBackoff schedule, deduplicate
-// replies by responder id, and give up with OpStatus::kTimeout at
-// AbdConfig::op_deadline. Incarnation epochs ride in every reply frame: the
-// client tracks the highest epoch seen per replica and discards replies
-// stamped by an earlier incarnation (a SIGSTOPped pre-crash replica
-// resumed after its successor restarted cannot confuse a round).
-//
-// Under a degraded network (net/chaos_proxy) two refinements matter:
-//   * the per-operation deadline is threaded into every bus send, so a
-//     half-open connection whose kernel buffer filled cannot wedge an
-//     operation past its deadline;
-//   * the retransmission floor adapts to measured per-replica RTT (EWMA,
-//     same alpha-1/4 scheme as ReplicaHealth): on a 25 ms-delay link the
-//     first retransmit waits ~4x the observed RTT instead of firing a
-//     futile wave every initial_rto, and on a fast loopback it drops below
-//     the configured floor for snappier loss recovery.
-//
-// One operation at a time per client (op_mu_): concurrent load comes from
-// many clients, matching one-mailbox-per-client SimNetwork usage.
+// Each bus send is bounded by the operation's deadline, so a half-open
+// connection whose kernel buffer filled cannot wedge an operation past it.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
-#include "abd/abd_register.hpp"
+#include "abd/quorum.hpp"
 #include "net/tcp_bus.hpp"
+#include "net/wire.hpp"
 
 namespace asnap::abd {
 
-class RemoteRegisterClient {
+/// QuorumClient transport over TCP: one bus link per replica, replies as
+/// Message{from = replica index, payload = wire::Frame} in the bus inbox.
+class TcpTransport {
  public:
-  struct ReadResult {
-    std::uint64_t ts = 0;
-    net::wire::Bytes value;  ///< empty with ts == 0: never written
-  };
+  using Value = net::wire::Bytes;
 
-  struct Stats {
-    /// Protocol rounds started (query / write / write-back); retransmission
-    /// waves within a round are counted separately below.
-    std::uint64_t protocol_rounds = 0;
-    std::uint64_t fast_reads = 0;       ///< reads that skipped write-back
-    std::uint64_t fast_fallbacks = 0;   ///< reads that fell back to slow path
-    std::uint64_t retransmit_waves = 0;
-    std::uint64_t dup_replies = 0;
-    std::uint64_t stale_epoch_replies = 0;
-    std::uint64_t round_timeouts = 0;
-  };
+  TcpTransport(std::vector<net::Endpoint> replicas, std::uint64_t client_id);
 
-  RemoteRegisterClient(std::vector<net::Endpoint> replicas,
-                       std::uint64_t client_id, AbdConfig config = {});
+  std::size_t size() const { return bus_.size(); }
+  void send(net::NodeId to, const Request<Value>& request,
+            std::chrono::steady_clock::time_point deadline);
+  net::Mailbox& inbox() { return bus_.inbox(); }
+  std::optional<Reply<Value>> decode(net::Message& msg) const;
 
-  std::size_t replicas() const { return bus_.size(); }
-  std::size_t majority() const { return bus_.size() / 2 + 1; }
-
-  /// Majority write. ts must be monotone per register from this writer;
-  /// retrying a timed-out write with the same (ts, value) is sound.
-  OpStatus try_write(std::uint64_t reg, std::uint64_t ts,
-                     const net::wire::Bytes& value);
-
-  /// Atomic read: query round + write-back round. nullopt on timeout.
-  std::optional<ReadResult> try_read(std::uint64_t reg);
-
-  /// Query round only — NO write-back, so not atomic on its own. Used by a
-  /// recovering replica's resync (which installs the result locally rather
-  /// than serving it to an application).
-  std::optional<ReadResult> try_query(std::uint64_t reg);
-
-  Stats stats() const;
   std::uint64_t reconnects() const { return bus_.reconnects(); }
 
-  /// Smoothed round-trip estimate for one replica, 0 before any sample.
-  std::chrono::microseconds rtt_estimate(std::size_t replica) const;
-
-  /// The retransmission floor the next round will start from: 4x the worst
-  /// smoothed per-replica RTT, clamped to [500us, max_rto]; the configured
-  /// initial_rto until a first sample exists. Exposed for tests/reports.
-  std::chrono::microseconds adaptive_rto() const;
-
  private:
-  /// Stability evidence a query round gathers for the fast-read decision.
-  struct QueryEvidence {
-    std::size_t accepted = 0;   ///< replies counted toward the quorum
-    std::size_t agree = 0;      ///< of those, replies at the final best ts
-    bool best_confirmed = false;  ///< some best-ts reply had kFlagTsConfirmed
-  };
-
-  OpStatus run_round(net::wire::Frame request, std::uint8_t expect_type,
-                     std::size_t needed, ReadResult* collect,
-                     QueryEvidence* ev = nullptr);
-  /// Fire-and-forget kConfirm broadcast after a majority-acked write or
-  /// write-back; a lost confirm only costs future fast-read hits.
-  void broadcast_confirm(std::uint64_t reg, std::uint64_t ts);
-  void record_rtt(std::size_t replica, std::chrono::microseconds sample);
-
-  const std::uint64_t client_id_;
-  const AbdConfig config_;
+  std::uint64_t client_id_;
   net::TcpBus bus_;
-  std::mutex op_mu_;
-  std::uint64_t next_rid_ = 1;
-  std::vector<std::uint64_t> max_epoch_;  ///< highest epoch seen per replica
-  /// Smoothed RTT per replica in microseconds, 0 = no sample yet. Atomic so
-  /// rtt_estimate()/adaptive_rto() never contend with a round in flight.
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> rtt_us_;
-  mutable std::mutex stats_mu_;
-  Stats stats_;
+};
+
+/// One socket-cluster client. Register values are opaque bytes (empty with
+/// ts == 0: never written); callers own the write timestamps.
+class RemoteRegisterClient : public QuorumClient<TcpTransport> {
+ public:
+  RemoteRegisterClient(std::vector<net::Endpoint> replicas,
+                       std::uint64_t client_id, AbdConfig config = {})
+      : QuorumClient(static_cast<std::uint32_t>(client_id), config,
+                     std::move(replicas), client_id) {}
+
+  std::uint64_t reconnects() const { return transport().reconnects(); }
 };
 
 }  // namespace asnap::abd

@@ -1,19 +1,16 @@
-// Per-(client, replica) responsiveness estimates for the ABD circuit
-// breaker.
+// Per-replica responsiveness estimates of one ABD quorum client.
 //
-// The retransmission loop of a quorum round (abd_register.hpp) needs a
-// notion of "how long should a reply from a healthy replica take" that is
-// tighter than the static initial_rto: Oh-RAM-style round optimization only
-// pays off if the client stops waiting on a crashed replica at RTT scale,
-// not at configured-timeout scale. Each client therefore keeps an EWMA of
-// observed reply round-trips per replica; the breaker derives a round's
-// initial retransmission timeout from the slowest estimate.
+// The retransmission loop of a quorum round (quorum.hpp) needs a notion of
+// "how long should a reply from a healthy replica take" that tracks the
+// actual network: on a fast loopback a lost frame should be resent at RTT
+// scale, and on a 25 ms link a retransmit before ~4 RTTs mostly duplicates
+// traffic still in flight. The client therefore keeps an EWMA of observed
+// reply round-trips per replica and derives a round's first retransmission
+// timeout from the slowest estimate.
 //
-// Concurrency: row `client` is written only by the thread driving that
-// client's single in-flight operation (the snapshot well-formedness rule),
-// so each cell is single-writer. Cells are atomics with relaxed ordering
-// purely so concurrent readers (other clients never read foreign rows today,
-// but stats dumps do) are race-free under TSan.
+// Concurrency: cells are written only by the thread driving the client's
+// single in-flight operation. They are relaxed atomics so stats readers on
+// other threads stay race-free under TSan.
 #pragma once
 
 #include <algorithm>
@@ -22,23 +19,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/fault.hpp"
-
 namespace asnap::abd {
 
 class ReplicaHealth {
  public:
-  explicit ReplicaHealth(std::size_t nodes)
-      : nodes_(nodes), ewma_ns_(nodes * nodes) {
+  explicit ReplicaHealth(std::size_t replicas) : ewma_ns_(replicas) {
     for (auto& cell : ewma_ns_) cell.store(0, std::memory_order_relaxed);
   }
 
-  /// Fold one observed reply round-trip from `replica` into `client`'s
-  /// estimate (EWMA, alpha = 1/4). A zero estimate means "no sample yet";
-  /// samples are clamped up to 1ns so a recorded cell never reads as empty.
-  void record(net::NodeId client, net::NodeId replica,
-              std::chrono::nanoseconds rtt) {
-    auto& cell = ewma_ns_[index(client, replica)];
+  /// Fold one observed reply round-trip from `replica` into its estimate
+  /// (EWMA, alpha = 1/4). A zero estimate means "no sample yet"; samples
+  /// are clamped up to 1ns so a recorded cell never reads as empty.
+  void record(std::size_t replica, std::chrono::nanoseconds rtt) {
+    auto& cell = ewma_ns_[replica];
     const auto sample = std::max<std::int64_t>(rtt.count(), 1);
     const auto old = static_cast<std::int64_t>(
         cell.load(std::memory_order_relaxed));
@@ -46,29 +39,23 @@ class ReplicaHealth {
     cell.store(static_cast<std::uint64_t>(next), std::memory_order_relaxed);
   }
 
-  /// `client`'s estimate for `replica`; 0ns when no reply has been observed.
-  std::chrono::nanoseconds rtt(net::NodeId client, net::NodeId replica) const {
+  /// Estimate for `replica`; 0ns when no reply has been sampled.
+  std::chrono::nanoseconds rtt(std::size_t replica) const {
     return std::chrono::nanoseconds(static_cast<std::int64_t>(
-        ewma_ns_[index(client, replica)].load(std::memory_order_relaxed)));
+        ewma_ns_[replica].load(std::memory_order_relaxed)));
   }
 
-  /// Slowest per-replica estimate held by `client` (0ns if no samples): a
-  /// quorum must hear from several replicas, so the adaptive RTO is sized to
-  /// the slowest one the client still talks to.
-  std::chrono::nanoseconds max_rtt(net::NodeId client) const {
+  /// Slowest per-replica estimate (0ns if no samples): a quorum must hear
+  /// from several replicas, so the adaptive RTO is sized to the slowest.
+  std::chrono::nanoseconds max_rtt() const {
     std::int64_t worst = 0;
-    for (net::NodeId j = 0; j < nodes_; ++j) {
-      worst = std::max(worst, rtt(client, j).count());
+    for (std::size_t j = 0; j < ewma_ns_.size(); ++j) {
+      worst = std::max(worst, rtt(j).count());
     }
     return std::chrono::nanoseconds(worst);
   }
 
  private:
-  std::size_t index(net::NodeId client, net::NodeId replica) const {
-    return static_cast<std::size_t>(client) * nodes_ + replica;
-  }
-
-  std::size_t nodes_;
   std::vector<std::atomic<std::uint64_t>> ewma_ns_;
 };
 

@@ -23,18 +23,6 @@ using Clock = std::chrono::steady_clock;
 using lin::Tag;
 using Snapshot = abd::MessagePassingSnapshot<Tag>;
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t to_ns(Clock::duration d) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
-}
-
 std::chrono::microseconds uniform_between(Rng& rng,
                                           std::chrono::microseconds lo,
                                           std::chrono::microseconds hi) {
@@ -43,82 +31,36 @@ std::chrono::microseconds uniform_between(Rng& rng,
   return lo + std::chrono::microseconds(rng.below(span + 1));
 }
 
-/// Per-worker state. Atomics are the watchdog-facing surface; the rest is
-/// worker-private until the worker thread is joined.
-struct WorkerState {
-  std::atomic<std::uint64_t> op_start_ns{0};  ///< 0 = no op in flight
-  std::atomic<std::uint64_t> last_success_ns{0};
-  std::atomic<std::uint64_t> updates_ok{0};
-  std::atomic<std::uint64_t> scans_ok{0};
-  std::atomic<std::uint64_t> failed_update_attempts{0};
-  std::atomic<std::uint64_t> failed_scans{0};
+}  // namespace
 
-  bool has_pending = false;  ///< update unfinished at shutdown (indeterminate)
-  Tag pending_tag;
-  lin::Time pending_inv = 0;
-
-  trace::LogHistogram update_hist;
-  trace::LogHistogram scan_hist;
-};
-
-void worker_loop(Snapshot& snap, lin::Recorder& recorder, WorkerState& ws,
-                 ProcessId p, const OrchestratorOptions& opt,
-                 const std::atomic<bool>& stop) {
-  std::uint64_t seq = 0;
-  std::uint64_t op_count = 0;
-  while (!stop.load(std::memory_order_relaxed)) {
-    if (op_count++ % 2 == 0) {
-      // Update: retry the SAME tag until it lands. A timed-out attempt is
-      // indeterminate, so the logical operation's interval must span every
-      // attempt — one recorded op from the first invocation to the
-      // successful response.
-      const Tag tag{p, ++seq};
-      const lin::Time inv = recorder.tick();
-      const auto started = Clock::now();
-      ws.op_start_ns.store(now_ns(), std::memory_order_relaxed);
-      for (;;) {
-        if (snap.try_update(p, tag)) break;
-        ws.failed_update_attempts.fetch_add(1, std::memory_order_relaxed);
-        if (stop.load(std::memory_order_relaxed)) {
-          // Shutdown with the attempt unresolved: possibly applied.
-          ws.has_pending = true;
-          ws.pending_tag = tag;
-          ws.pending_inv = inv;
-          ws.op_start_ns.store(0, std::memory_order_relaxed);
-          return;
-        }
-        std::this_thread::sleep_for(opt.op_retry_pause);
-      }
-      const lin::Time res = recorder.tick();
-      recorder.add_update(p, p, tag, inv, res);
-      ws.update_hist.record(to_ns(Clock::now() - started));
-      ws.updates_ok.fetch_add(1, std::memory_order_relaxed);
-      ws.last_success_ns.store(now_ns(), std::memory_order_relaxed);
-      ws.op_start_ns.store(0, std::memory_order_relaxed);
-    } else {
-      // Scan: a failed scan observed nothing, so it is simply dropped.
-      const lin::Time inv = recorder.tick();
-      const auto started = Clock::now();
-      ws.op_start_ns.store(now_ns(), std::memory_order_relaxed);
-      std::optional<std::vector<Tag>> view = snap.try_scan(p);
-      if (view.has_value()) {
-        const lin::Time res = recorder.tick();
-        recorder.add_scan(p, std::move(*view), inv, res);
-        ws.scan_hist.record(to_ns(Clock::now() - started));
-        ws.scans_ok.fetch_add(1, std::memory_order_relaxed);
-        ws.last_success_ns.store(now_ns(), std::memory_order_relaxed);
-      } else {
-        ws.failed_scans.fetch_add(1, std::memory_order_relaxed);
-        ws.op_start_ns.store(0, std::memory_order_relaxed);
-        std::this_thread::sleep_for(opt.op_retry_pause);
-        continue;
-      }
-      ws.op_start_ns.store(0, std::memory_order_relaxed);
-    }
-  }
+std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          Clock::now().time_since_epoch())
+          .count());
 }
 
-}  // namespace
+void finish_workers(const std::vector<std::unique_ptr<WorkerState>>& workers,
+                    lin::Recorder& recorder, RunReport& report) {
+  // The final tick is taken after every worker stopped, so an unresolved
+  // update's interval covers every instant it could have taken effect.
+  const lin::Time final_tick = recorder.tick();
+  for (std::size_t p = 0; p < workers.size(); ++p) {
+    const WorkerState& ws = *workers[p];
+    if (ws.has_pending) {
+      recorder.add_update(static_cast<ProcessId>(p), p, ws.pending_tag,
+                          ws.pending_inv, final_tick);
+      ++report.indeterminate_updates;
+    }
+    report.updates_ok += ws.updates_ok.load(std::memory_order_relaxed);
+    report.scans_ok += ws.scans_ok.load(std::memory_order_relaxed);
+    report.failed_update_attempts +=
+        ws.failed_update_attempts.load(std::memory_order_relaxed);
+    report.failed_scans += ws.failed_scans.load(std::memory_order_relaxed);
+    report.update_latency_ns.merge(ws.update_hist);
+    report.scan_latency_ns.merge(ws.scan_hist);
+  }
+}
 
 Schedule random_schedule(std::size_t nodes, const ChaosProfile& profile,
                          std::uint64_t seed) {
@@ -274,6 +216,9 @@ RunReport run(const OrchestratorOptions& opt) {
       const std::uint64_t t =
           crash_pending[target].exchange(0, std::memory_order_acq_rel);
       if (t == 0) return;
+      // No unsigned wrap: the clock is read after the exchange that
+      // observed t's store, and the steady clock is monotonic, so now >= t
+      // (unlike the watchdog, whose clock read precedes the stamps).
       std::lock_guard lock(report_mu);
       report.detection_latencies.emplace_back(now_ns() - t);
     };
@@ -284,8 +229,6 @@ RunReport run(const OrchestratorOptions& opt) {
   std::vector<std::unique_ptr<WorkerState>> workers_state;
   for (std::size_t p = 0; p < n; ++p) {
     workers_state.push_back(std::make_unique<WorkerState>());
-    workers_state.back()->last_success_ns.store(now_ns(),
-                                                std::memory_order_relaxed);
   }
   std::atomic<bool> stop{false};
 
@@ -375,7 +318,8 @@ RunReport run(const OrchestratorOptions& opt) {
     for (std::size_t p = 0; p < n; ++p) {
       workers.emplace_back([&, p] {
         worker_loop(snap, recorder, *workers_state[p],
-                    static_cast<ProcessId>(p), opt, stop);
+                    static_cast<ProcessId>(p),
+                    WorkerPacing{opt.op_retry_pause, {}}, stop);
       });
     }
 
@@ -411,7 +355,8 @@ RunReport run(const OrchestratorOptions& opt) {
           const std::uint64_t started =
               ws.op_start_ns.load(std::memory_order_relaxed);
           if (started != 0 &&
-              now - std::max(started, healthy_since[p]) > stall) {
+              past_stall_window(now, std::max(started, healthy_since[p]),
+                                stall)) {
             flagged[p] = true;
             add_violation("liveness: operation by healthy node " +
                           std::to_string(p) + " blocked past the stall window");
@@ -419,7 +364,8 @@ RunReport run(const OrchestratorOptions& opt) {
           }
           const std::uint64_t last =
               ws.last_success_ns.load(std::memory_order_relaxed);
-          if (now - std::max(last, healthy_since[p]) > stall) {
+          if (past_stall_window(now, std::max(last, healthy_since[p]),
+                                stall)) {
             flagged[p] = true;
             add_violation("liveness: healthy node " + std::to_string(p) +
                           " completed no operation inside the stall window");
@@ -465,17 +411,7 @@ RunReport run(const OrchestratorOptions& opt) {
     stop.store(true, std::memory_order_relaxed);
   }  // workers join
 
-  // Updates unfinished at shutdown are indeterminate: possibly applied any
-  // time up to now, so their interval extends to a final clock tick taken
-  // after every worker stopped.
-  const lin::Time final_tick = recorder.tick();
-  for (std::size_t p = 0; p < n; ++p) {
-    WorkerState& ws = *workers_state[p];
-    if (!ws.has_pending) continue;
-    recorder.add_update(static_cast<ProcessId>(p), p, ws.pending_tag,
-                        ws.pending_inv, final_tick);
-    ++report.indeterminate_updates;
-  }
+  finish_workers(workers_state, recorder, report);
 
   const lin::History history = recorder.take();
   report.history_ops = history.total_ops();
@@ -483,16 +419,6 @@ RunReport run(const OrchestratorOptions& opt) {
     add_violation("linearizability: " + *violation);
   }
 
-  for (std::size_t p = 0; p < n; ++p) {
-    const WorkerState& ws = *workers_state[p];
-    report.updates_ok += ws.updates_ok.load(std::memory_order_relaxed);
-    report.scans_ok += ws.scans_ok.load(std::memory_order_relaxed);
-    report.failed_update_attempts +=
-        ws.failed_update_attempts.load(std::memory_order_relaxed);
-    report.failed_scans += ws.failed_scans.load(std::memory_order_relaxed);
-    report.update_latency_ns.merge(ws.update_hist);
-    report.scan_latency_ns.merge(ws.scan_hist);
-  }
   if (const net::FailureDetector* fd = snap.detector()) {
     report.suspicions = fd->suspicions();
     report.trusts = fd->trusts();
@@ -502,14 +428,7 @@ RunReport run(const OrchestratorOptions& opt) {
     report.failed_recovery_attempts = sup->failed_attempts();
     report.recovery_latencies = sup->recovery_latencies();
   }
-  report.protocol_rounds = snap.protocol_rounds();
-  report.fast_reads = snap.fast_reads();
-  report.fast_fallbacks = snap.fast_fallbacks();
-  report.retransmits = snap.retransmits_sent();
-  report.round_timeouts = snap.round_timeouts();
-  report.breaker_skips = snap.breaker_skips();
-  report.fail_fasts = snap.fail_fasts();
-  report.stale_epoch_replies = snap.stale_epoch_replies();
+  report.rounds = snap.round_stats();
   report.messages_sent = snap.messages_sent();
   return report;
 }

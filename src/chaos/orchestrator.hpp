@@ -28,14 +28,18 @@
 //     per-op latency histograms for availability reporting.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "abd/abd_register.hpp"
 #include "abd/supervisor.hpp"
 #include "chaos/schedule.hpp"
+#include "lin/history.hpp"
 #include "net/failure_detector.hpp"
 #include "trace/histogram.hpp"
 
@@ -53,7 +57,7 @@ struct OrchestratorOptions {
   /// operation is distinguishable from a slow one.
   abd::AbdConfig abd = [] {
     abd::AbdConfig c;
-    c.initial_rto = std::chrono::microseconds(500);
+    c.initial_rto = std::chrono::microseconds(200);
     c.max_rto = std::chrono::milliseconds(8);
     c.op_deadline = std::chrono::milliseconds(250);
     c.breaker.enabled = true;
@@ -116,19 +120,117 @@ struct RunReport {
   std::vector<std::chrono::nanoseconds> recovery_latencies;
 
   // Cluster counters.
-  std::uint64_t protocol_rounds = 0;
-  std::uint64_t fast_reads = 0;
-  std::uint64_t fast_fallbacks = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t round_timeouts = 0;
-  std::uint64_t breaker_skips = 0;
-  std::uint64_t fail_fasts = 0;
-  std::uint64_t stale_epoch_replies = 0;
+  abd::RoundStats rounds;  ///< summed over every client
   std::uint64_t messages_sent = 0;
 };
 
 /// Execute one chaos scenario to completion. Deterministically seeded up to
 /// thread interleaving (like every other seeded harness in this repo).
 RunReport run(const OrchestratorOptions& options);
+
+// --- the checked workload, shared by every chaos harness ---------------------
+
+/// Steady-clock now in nanoseconds, the unit of WorkerState's stamps.
+std::uint64_t now_ns();
+
+/// Liveness predicate of the watchdogs: has more than `window` passed since
+/// `since`? A stamp later than `now` (stored by a worker after the sweep
+/// read its clock) has not, instead of wrapping the unsigned difference.
+inline bool past_stall_window(std::uint64_t now, std::uint64_t since,
+                              std::uint64_t window) {
+  return now > since && now - since > window;
+}
+
+/// One worker's outcome. Atomics are readable mid-run (watchdogs); the rest
+/// is worker-private until the worker thread is joined.
+struct WorkerState {
+  std::atomic<std::uint64_t> op_start_ns{0};  ///< 0 = no op in flight
+  std::atomic<std::uint64_t> last_success_ns{now_ns()};
+  std::atomic<std::uint64_t> updates_ok{0};
+  std::atomic<std::uint64_t> scans_ok{0};
+  std::atomic<std::uint64_t> failed_update_attempts{0};
+  std::atomic<std::uint64_t> failed_scans{0};
+  std::atomic<std::uint64_t> last_acked_seq{0};  ///< durability audit input
+
+  bool has_pending = false;  ///< update unfinished at shutdown (indeterminate)
+  lin::Tag pending_tag;
+  lin::Time pending_inv = 0;
+
+  trace::LogHistogram update_hist;
+  trace::LogHistogram scan_hist;
+};
+
+/// Pause after a failed attempt, and between operations.
+struct WorkerPacing {
+  std::chrono::microseconds retry_pause{200};
+  std::chrono::microseconds think{0};
+};
+
+/// Process p's checked workload against any snapshot with degraded-mode
+/// try_update(p, tag) -> bool and try_scan(p) -> optional<view>, until
+/// `stop`. Alternates updates and scans. Recording convention:
+///   * an update retries the SAME tag until it lands: a timed-out attempt
+///     is indeterminate, so the logical operation's interval spans every
+///     attempt — one recorded op from the first invocation to the
+///     successful response. An update still unresolved at `stop` is left in
+///     has_pending for record_pending() (possibly applied any time up to
+///     the end: the Jepsen :info convention);
+///   * a failed scan observed nothing, so it is dropped.
+template <typename Backend>
+void worker_loop(Backend& snap, lin::Recorder& recorder, WorkerState& ws,
+                 ProcessId p, WorkerPacing pacing,
+                 const std::atomic<bool>& stop) {
+  using Clock = std::chrono::steady_clock;
+  const auto since = [](Clock::time_point t) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t)
+            .count());
+  };
+  std::uint64_t seq = 0;
+  std::uint64_t op_count = 0;
+  while (!stop.load(std::memory_order_relaxed)) {
+    const lin::Time inv = recorder.tick();
+    const auto started = Clock::now();
+    ws.op_start_ns.store(now_ns(), std::memory_order_relaxed);
+    if (op_count++ % 2 == 0) {
+      const lin::Tag tag{p, ++seq};
+      while (!snap.try_update(p, tag)) {
+        ws.failed_update_attempts.fetch_add(1, std::memory_order_relaxed);
+        if (stop.load(std::memory_order_relaxed)) {
+          ws.has_pending = true;
+          ws.pending_tag = tag;
+          ws.pending_inv = inv;
+          ws.op_start_ns.store(0, std::memory_order_relaxed);
+          return;
+        }
+        std::this_thread::sleep_for(pacing.retry_pause);
+      }
+      recorder.add_update(p, p, tag, inv, recorder.tick());
+      ws.update_hist.record(since(started));
+      ws.updates_ok.fetch_add(1, std::memory_order_relaxed);
+      ws.last_acked_seq.store(seq, std::memory_order_relaxed);
+    } else {
+      auto view = snap.try_scan(p);
+      if (!view.has_value()) {
+        ws.failed_scans.fetch_add(1, std::memory_order_relaxed);
+        ws.op_start_ns.store(0, std::memory_order_relaxed);
+        std::this_thread::sleep_for(pacing.retry_pause);
+        continue;
+      }
+      recorder.add_scan(p, std::move(*view), inv, recorder.tick());
+      ws.scan_hist.record(since(started));
+      ws.scans_ok.fetch_add(1, std::memory_order_relaxed);
+    }
+    ws.last_success_ns.store(now_ns(), std::memory_order_relaxed);
+    ws.op_start_ns.store(0, std::memory_order_relaxed);
+    if (pacing.think.count() > 0) std::this_thread::sleep_for(pacing.think);
+  }
+}
+
+/// After every worker joined: record each update left unresolved at
+/// shutdown with its response at a final clock tick, and fold the workers'
+/// counters and latency histograms into `report`.
+void finish_workers(const std::vector<std::unique_ptr<WorkerState>>& workers,
+                    lin::Recorder& recorder, RunReport& report);
 
 }  // namespace asnap::chaos

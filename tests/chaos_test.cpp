@@ -53,6 +53,20 @@ net::DetectorConfig fast_detector() {
 
 // --- failure detector --------------------------------------------------------
 
+// The watchdog reads its clock once per sweep, and a worker may store a
+// later start or success stamp before the sweep compares them. Such a stamp
+// is not stale: it must never read as "blocked past the stall window"
+// through a wrapped unsigned difference.
+TEST(ChaosOrchestrator, WatchdogIgnoresStampsLaterThanItsClock) {
+  constexpr std::uint64_t kWindow = 2'000'000'000;  // 2 s in ns
+  const std::uint64_t now = 5'000'000'000;
+  EXPECT_FALSE(chaos::past_stall_window(now, now + 1, kWindow));
+  EXPECT_FALSE(chaos::past_stall_window(now, now + kWindow * 3, kWindow));
+  EXPECT_FALSE(chaos::past_stall_window(now, now, kWindow));
+  EXPECT_FALSE(chaos::past_stall_window(now, now - kWindow, kWindow));
+  EXPECT_TRUE(chaos::past_stall_window(now, now - kWindow - 1, kWindow));
+}
+
 TEST(FailureDetector, SuspectsCrashedNodeThenRetrustsAfterRecovery) {
   net::Network net(3, /*seed=*/0x51);
   std::atomic<int> suspect_cbs{0};

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -21,8 +22,11 @@
 #include <vector>
 
 #include "abd/remote_client.hpp"
+#include "abd/socket_snapshot.hpp"
 #include "abd/wal.hpp"
 #include "chaos/process_orchestrator.hpp"
+#include "lin/history.hpp"
+#include "lin/snapshot_checker.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_bus.hpp"
 #include "net/wire.hpp"
@@ -538,6 +542,71 @@ TEST_F(ClusterTest, ConfirmedBitIsServedAndResetByRestart) {
       },
       10s))
       << "no write's confirm ever reached the restarted replica";
+}
+
+// The daemons outlive their clients. A writer that restarted its ABD
+// timestamps at 1 would have its writes acked (replicas ack ts <= stored)
+// but never applied; the socket registers learn the current timestamp by a
+// quorum query before their first write instead.
+TEST_F(ClusterTest, RestartedWriterIsVisibleToLaterClients) {
+  const auto eps = cluster_->endpoints();
+  {
+    abd::SocketSnapshot first(eps, 2, /*client_id_base=*/10, client_config());
+    for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+      first.update(0, lin::Tag{0, seq});
+    }
+  }
+  abd::SocketSnapshot second(eps, 2, /*client_id_base=*/20, client_config());
+  second.update(0, lin::Tag{0, 100});
+  EXPECT_EQ(second.scan(1)[0], (lin::Tag{0, 100}));
+  abd::SocketSnapshot third(eps, 2, /*client_id_base=*/30, client_config());
+  EXPECT_EQ(third.scan(1)[0], (lin::Tag{0, 100}))
+      << "the second client's acked update is not visible";
+}
+
+// Wait-freedom over sockets: n-1 writers update back to back while one
+// process scans. Figure 2 bounds every scan by n+1 double collects (Lemma
+// 3.4): it either sees a clean double collect or borrows the view of a
+// writer that moved twice, so no scan is dropped or retried however busy
+// the writers are.
+TEST_F(ClusterTest, WriterStormScansStayWithinPigeonholeBound) {
+  constexpr std::size_t kProcs = 4;  // the fixture's daemons hold 4 registers
+  constexpr ProcessId kScanner = kProcs - 1;
+  abd::SocketSnapshot snap(cluster_->endpoints(), kProcs,
+                           /*client_id_base=*/40, client_config());
+  lin::Recorder recorder(kProcs);
+  std::atomic<bool> stop{false};
+  std::uint64_t scans = 0;
+  {
+    std::vector<std::jthread> writers;
+    for (ProcessId p = 0; p < kScanner; ++p) {
+      writers.emplace_back([&, p] {
+        for (std::uint64_t seq = 1; !stop.load(); ++seq) {
+          const lin::Time inv = recorder.tick();
+          snap.update(p, lin::Tag{p, seq});
+          recorder.add_update(p, p, lin::Tag{p, seq}, inv, recorder.tick());
+        }
+      });
+    }
+    const auto end = std::chrono::steady_clock::now() + 1500ms;
+    while (std::chrono::steady_clock::now() < end) {
+      const lin::Time inv = recorder.tick();
+      std::vector<lin::Tag> view = snap.scan(kScanner);
+      recorder.add_scan(kScanner, std::move(view), inv, recorder.tick());
+      ++scans;
+    }
+    stop.store(true);
+  }
+  const core::ScanStats& stats = snap.stats(kScanner);
+  EXPECT_EQ(stats.scans, scans);
+  EXPECT_GT(scans, 0u);
+  EXPECT_LE(stats.max_double_collects, kProcs + 1);
+  for (ProcessId p = 0; p < kScanner; ++p) {
+    EXPECT_LE(snap.stats(p).max_double_collects, kProcs + 1);
+    EXPECT_GT(snap.stats(p).updates, 0u);
+  }
+  const auto violation = lin::check_single_writer(recorder.take());
+  EXPECT_FALSE(violation.has_value()) << *violation;
 }
 
 }  // namespace

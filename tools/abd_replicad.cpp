@@ -194,17 +194,19 @@ void serve_connection(std::size_t id, Store& store, net::Socket conn) {
   }
 }
 
-/// Background resync: quorum-read each register through the ordinary client
-/// rounds (including this daemon's own listener — the self reply counts
-/// toward the majority, as in AbdCluster::recover) and adopt anything
-/// newer. Restores full f-tolerance after a restart; correctness never
-/// depended on it (see file header). Uses try_query — a query with NO
-/// write-back — and installs through apply_write, which deliberately does
-/// not touch Store::confirmed: a resync read skipping write-back has not
-/// stabilized anything, so the restarted replica must keep answering reads
-/// without kFlagTsConfirmed until a live writer/reader confirms again.
+/// Background resync: quorum-read each register through the engine's
+/// query-only round (including this daemon's own listener — the self reply
+/// counts toward the majority, as in AbdCluster::recover) and adopt
+/// anything newer. Restores full f-tolerance after a restart; correctness
+/// never depended on it (see file header). The query does NO write-back,
+/// and the result is installed through apply_write, which deliberately
+/// does not touch Store::confirmed: a resync read skipping write-back has
+/// not stabilized anything, so the restarted replica must keep answering
+/// reads without kFlagTsConfirmed until a live writer/reader confirms
+/// again.
 void resync(std::size_t id, const Args& args, Store& store) {
   abd::AbdConfig config;
+  config.initial_rto = std::chrono::microseconds(500);
   config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::seconds(2));
   abd::RemoteRegisterClient client(args.peers, /*client_id=*/1000 + id,
@@ -213,7 +215,7 @@ void resync(std::size_t id, const Args& args, Store& store) {
   for (std::uint64_t reg = 0; reg < args.regs; ++reg) {
     for (int attempt = 0; attempt < 3; ++attempt) {
       if (g_stop.load(std::memory_order_acquire)) return;
-      const auto got = client.try_query(reg);
+      const auto got = client.try_query(reg, client.majority());
       if (!got.has_value()) {
         std::this_thread::sleep_for(100ms);
         continue;

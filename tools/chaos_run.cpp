@@ -20,13 +20,13 @@
 //                   check_single_writer must reject, so this scenario is
 //                   expected to FAIL (ctest wraps it in WILL_FAIL).
 //   real            REAL PROCESSES: spawn --nodes abd_replicad daemons on
-//                   127.0.0.1 sockets, run a checked workload through
-//                   abd::RemoteRegisterClient while injecting kill -9 and
-//                   SIGSTOP faults on the live PIDs (majority-safe, seeded),
-//                   restart victims via the process supervisor, then audit
-//                   durability (every acked write still readable) and run
-//                   the exact linearizability checker. ISSUE 6's acceptance
-//                   scenario; also aliased as `--real`.
+//                   127.0.0.1 sockets, run the checked chaos workload over
+//                   Figure 2 on the daemons' registers (abd::SocketSnapshot)
+//                   while injecting kill -9 and SIGSTOP faults on the live
+//                   PIDs (majority-safe, seeded), restart victims via the
+//                   process supervisor, then audit durability (every acked
+//                   update still visible) and run the exact linearizability
+//                   checker. Also aliased as `--real`.
 //   net             the real cluster behind a net::ChaosProxy: ambient
 //                   seeded loss/delay/jitter/reorder on every client<->
 //                   replica link plus bounded bursts of asymmetric
@@ -59,6 +59,7 @@
 //             [--partition on|off]  (include blackhole/flap bursts)
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -70,7 +71,7 @@
 #include <thread>
 #include <vector>
 
-#include "abd/remote_client.hpp"
+#include "abd/socket_snapshot.hpp"
 #include "bench_util.hpp"
 #include "chaos/orchestrator.hpp"
 #include "chaos/process_orchestrator.hpp"
@@ -136,7 +137,8 @@ enum class NetMode {
   kSplit,  ///< --scenario net-split: negative control, rail off, no heal
 };
 
-void print_report(const std::string& label, const chaos::RunReport& r) {
+/// The "== label ==" header and the workload line of a report.
+void print_workload(const std::string& label, const chaos::RunReport& r) {
   std::printf("== %s ==\n", label.c_str());
   std::printf(
       "  workload    : %llu updates, %llu scans ok; %llu failed update "
@@ -145,28 +147,16 @@ void print_report(const std::string& label, const chaos::RunReport& r) {
       (unsigned long long)r.failed_update_attempts,
       (unsigned long long)r.failed_scans,
       (unsigned long long)r.indeterminate_updates, r.history_ops);
-  std::printf(
-      "  injection   : %llu crashes, %llu partitions\n",
-      (unsigned long long)r.crashes_injected,
-      (unsigned long long)r.partitions_injected);
-  std::printf(
-      "  healing     : %llu suspicions, %llu trusts, %llu recoveries "
-      "(%llu failed attempts); detection mean %.1f us, recovery mean %.1f us\n",
-      (unsigned long long)r.suspicions, (unsigned long long)r.trusts,
-      (unsigned long long)r.recoveries,
-      (unsigned long long)r.failed_recovery_attempts,
-      mean_us(r.detection_latencies), mean_us(r.recovery_latencies));
-  std::printf(
-      "  degradation : %llu breaker skips, %llu fail-fasts, %llu stale-epoch "
-      "replies, %llu round timeouts, %llu retransmits\n",
-      (unsigned long long)r.breaker_skips, (unsigned long long)r.fail_fasts,
-      (unsigned long long)r.stale_epoch_replies,
-      (unsigned long long)r.round_timeouts, (unsigned long long)r.retransmits);
+}
+
+/// The rounds and latency lines and the verdict of a report.
+void print_verdict(const chaos::RunReport& r) {
   std::printf(
       "  rounds      : %llu protocol rounds, %llu fast reads, %llu fast "
       "fallbacks\n",
-      (unsigned long long)r.protocol_rounds, (unsigned long long)r.fast_reads,
-      (unsigned long long)r.fast_fallbacks);
+      (unsigned long long)r.rounds.protocol_rounds,
+      (unsigned long long)r.rounds.fast_reads,
+      (unsigned long long)r.rounds.fast_fallbacks);
   std::printf(
       "  latency     : update p50 %.1f us p99 %.1f us | scan p50 %.1f us "
       "p99 %.1f us\n",
@@ -185,24 +175,65 @@ void print_report(const std::string& label, const chaos::RunReport& r) {
   }
 }
 
-void print_json(const Cli& cli, const std::string& label, bool breaker,
-                const chaos::RunReport& r) {
-  const std::uint64_t attempts =
-      r.updates_ok + r.scans_ok + r.failed_update_attempts + r.failed_scans;
-  bench::JsonWriter j("E10-chaos");
-  j.field("scenario", label)
+void print_report(const std::string& label, const chaos::RunReport& r) {
+  print_workload(label, r);
+  std::printf(
+      "  injection   : %llu crashes, %llu partitions\n",
+      (unsigned long long)r.crashes_injected,
+      (unsigned long long)r.partitions_injected);
+  std::printf(
+      "  healing     : %llu suspicions, %llu trusts, %llu recoveries "
+      "(%llu failed attempts); detection mean %.1f us, recovery mean %.1f us\n",
+      (unsigned long long)r.suspicions, (unsigned long long)r.trusts,
+      (unsigned long long)r.recoveries,
+      (unsigned long long)r.failed_recovery_attempts,
+      mean_us(r.detection_latencies), mean_us(r.recovery_latencies));
+  std::printf(
+      "  degradation : %llu breaker skips, %llu fail-fasts, %llu stale-epoch "
+      "replies, %llu round timeouts, %llu retransmits\n",
+      (unsigned long long)r.rounds.breaker_skips,
+      (unsigned long long)r.rounds.fail_fasts,
+      (unsigned long long)r.rounds.stale_epoch_replies,
+      (unsigned long long)r.rounds.round_timeouts,
+      (unsigned long long)r.rounds.retransmits);
+  print_verdict(r);
+}
+
+/// The fields every chaos JSON line carries: the run's identity, its
+/// workload outcome and latencies, and the ABD round counters.
+void workload_fields(bench::JsonWriter& j, const Cli& cli,
+                     const std::string& scenario, const chaos::RunReport& r) {
+  j.field("scenario", scenario)
       .field("nodes", (std::uint64_t)cli.nodes)
       .field("seconds", cli.seconds)
       .field("seed", (std::uint64_t)cli.seed)
       .field("crash_rate", cli.crash_rate)
-      .field("loss", cli.loss)
-      .field("breaker", breaker)
       .field("violations", (std::uint64_t)r.violations.size())
       .field("updates_ok", r.updates_ok)
       .field("scans_ok", r.scans_ok)
       .field("failed_update_attempts", r.failed_update_attempts)
       .field("failed_scans", r.failed_scans)
       .field("indeterminate_updates", r.indeterminate_updates)
+      .field("update_p50_us", r.update_latency_ns.percentile(0.50) / 1e3)
+      .field("update_p99_us", r.update_latency_ns.percentile(0.99) / 1e3)
+      .field("scan_p50_us", r.scan_latency_ns.percentile(0.50) / 1e3)
+      .field("scan_p99_us", r.scan_latency_ns.percentile(0.99) / 1e3)
+      .field("stale_epoch_replies", r.rounds.stale_epoch_replies)
+      .field("round_timeouts", r.rounds.round_timeouts)
+      .field("fast", cli.fast)
+      .field("protocol_rounds", r.rounds.protocol_rounds)
+      .field("fast_reads", r.rounds.fast_reads)
+      .field("fast_fallbacks", r.rounds.fast_fallbacks);
+}
+
+void print_json(const Cli& cli, const std::string& label, bool breaker,
+                const chaos::RunReport& r) {
+  const std::uint64_t attempts =
+      r.updates_ok + r.scans_ok + r.failed_update_attempts + r.failed_scans;
+  bench::JsonWriter j("E10-chaos");
+  workload_fields(j, cli, label, r);
+  j.field("loss", cli.loss)
+      .field("breaker", breaker)
       .field("availability",
              attempts == 0 ? 1.0
                            : (double)(r.updates_ok + r.scans_ok) /
@@ -213,18 +244,8 @@ void print_json(const Cli& cli, const std::string& label, bool breaker,
       .field("recoveries", r.recoveries)
       .field("detection_mean_us", mean_us(r.detection_latencies))
       .field("recovery_mean_us", mean_us(r.recovery_latencies))
-      .field("update_p50_us", r.update_latency_ns.percentile(0.50) / 1e3)
-      .field("update_p99_us", r.update_latency_ns.percentile(0.99) / 1e3)
-      .field("scan_p50_us", r.scan_latency_ns.percentile(0.50) / 1e3)
-      .field("scan_p99_us", r.scan_latency_ns.percentile(0.99) / 1e3)
-      .field("breaker_skips", r.breaker_skips)
-      .field("fail_fasts", r.fail_fasts)
-      .field("stale_epoch_replies", r.stale_epoch_replies)
-      .field("round_timeouts", r.round_timeouts)
-      .field("fast", cli.fast)
-      .field("protocol_rounds", r.protocol_rounds)
-      .field("fast_reads", r.fast_reads)
-      .field("fast_fallbacks", r.fast_fallbacks);
+      .field("breaker_skips", r.rounds.breaker_skips)
+      .field("fail_fasts", r.rounds.fail_fasts);
   j.print();
 }
 
@@ -435,49 +456,21 @@ int run_broken_fastread(const Cli& cli) {
 
 // --- --scenario real: kill -9 chaos against live abd_replicad processes ----
 
-/// Aggregate outcome of one real-cluster run (the process analog of
-/// chaos::RunReport, minus the SimNetwork-only counters).
+/// Aggregate outcome of one real-cluster run: the workload outcome, the
+/// socket clients' rounds and the verdicts in chaos::RunReport's terms (its
+/// SimNetwork-only counters stay zero), plus the process/wire injectors.
 struct RealReport {
-  std::uint64_t updates_ok = 0;
-  std::uint64_t scans_ok = 0;
-  std::uint64_t failed_update_attempts = 0;
-  std::uint64_t failed_scans = 0;
-  std::uint64_t indeterminate_updates = 0;
-  std::size_t history_ops = 0;
-  trace::LogHistogram update_hist;
-  trace::LogHistogram scan_hist;
-  abd::RemoteRegisterClient::Stats client;
+  chaos::RunReport run;
   std::uint64_t reconnects = 0;
+  std::size_t processes = 0;              ///< snapshot processes (writers)
+  std::uint64_t max_double_collects = 0;  ///< worst scan, all processes
   chaos::ProcessCluster::Report proc;
   // Net-scenario only: proxy-side injected-fault totals over all links,
   // plus how many fault bursts the driver fired.
   bool net_mode = false;
   net::LinkStats net;
   std::uint64_t net_bursts = 0;
-  std::vector<std::string> violations;
-  bool ok() const { return violations.empty(); }
-};
-
-/// Per-worker mutable state for the real scenario. Mirrors the orchestrator
-/// worker convention exactly (see chaos/orchestrator.cpp): same-tag retry
-/// with one spanning interval, indeterminate-at-shutdown, dropped failed
-/// scans.
-struct RealWorker {
-  std::uint64_t updates_ok = 0;
-  std::uint64_t scans_ok = 0;
-  std::uint64_t failed_update_attempts = 0;
-  std::uint64_t failed_scans = 0;
-  std::atomic<std::uint64_t> last_acked_seq{0};  ///< durability audit input
-  /// Successful ops, readable mid-run: the liveness watchdog's signal that
-  /// the cluster makes progress once the network heals.
-  std::atomic<std::uint64_t> ops_done{0};
-  bool has_pending = false;
-  lin::Tag pending_tag{};
-  lin::Time pending_inv = 0;
-  trace::LogHistogram update_hist;
-  trace::LogHistogram scan_hist;
-  abd::RemoteRegisterClient::Stats stats;
-  std::uint64_t reconnects = 0;
+  bool ok() const { return run.ok(); }
 };
 
 std::vector<net::Endpoint> probe_free_endpoints(std::size_t n) {
@@ -494,135 +487,8 @@ std::vector<net::Endpoint> probe_free_endpoints(std::size_t n) {
   return eps;
 }
 
-/// One collect: atomically read registers 0..W-1. nullopt if any read
-/// times out (no majority right now).
-std::optional<std::vector<std::pair<std::uint64_t, lin::Tag>>> real_collect(
-    abd::RemoteRegisterClient& client, std::size_t writers) {
-  std::vector<std::pair<std::uint64_t, lin::Tag>> out;
-  out.reserve(writers);
-  for (std::size_t w = 0; w < writers; ++w) {
-    const auto got = client.try_read(w);
-    if (!got.has_value()) return std::nullopt;
-    lin::Tag tag{static_cast<ProcessId>(w), 0};  // unwritten: initial tag
-    if (got->ts != 0) {
-      const auto decoded = net::wire::decode_tag(got->value);
-      if (!decoded.has_value()) return std::nullopt;  // corrupt value
-      tag = *decoded;
-    }
-    out.emplace_back(got->ts, tag);
-  }
-  return out;
-}
-
-/// Double collect over the socket cluster: two identical consecutive
-/// collects of atomic (write-back) reads form a linearizable snapshot —
-/// Afek et al.'s Observation 1, unchanged by the transport. Caps attempts:
-/// under sustained writes a clean double collect may not happen, and a
-/// failed scan observed nothing, so it is simply dropped.
-std::optional<std::vector<lin::Tag>> real_scan(
-    abd::RemoteRegisterClient& client, std::size_t writers) {
-  constexpr int kMaxCollects = 16;
-  auto prev = real_collect(client, writers);
-  if (!prev.has_value()) return std::nullopt;
-  for (int i = 1; i < kMaxCollects; ++i) {
-    auto cur = real_collect(client, writers);
-    if (!cur.has_value()) return std::nullopt;
-    bool equal = true;
-    for (std::size_t w = 0; w < writers; ++w) {
-      if ((*cur)[w].first != (*prev)[w].first) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) {
-      std::vector<lin::Tag> view;
-      view.reserve(writers);
-      for (const auto& [ts, tag] : *cur) view.push_back(tag);
-      return view;
-    }
-    prev = std::move(cur);
-  }
-  return std::nullopt;
-}
-
-void real_worker_loop(const std::vector<net::Endpoint>& eps, ProcessId p,
-                      std::size_t writers, const Cli& cli,
-                      lin::Recorder& recorder, RealWorker& ws,
-                      const std::atomic<bool>& stop) {
-  using SClock = std::chrono::steady_clock;
-  const auto to_ns = [](SClock::duration d) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
-  };
-  abd::AbdConfig config;
-  config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::seconds(3));
-  config.fast_reads = cli.fast;
-  abd::RemoteRegisterClient client(eps, /*client_id=*/100 + p, config);
-  const auto think =
-      std::chrono::microseconds(static_cast<std::int64_t>(cli.think_ms * 1e3));
-  const auto retry_pause = std::chrono::milliseconds(1);
-
-  std::uint64_t seq = 0;
-  std::uint64_t op_count = 0;
-  while (!stop.load(std::memory_order_relaxed)) {
-    if (op_count++ % 2 == 0) {
-      // Update: retry the SAME (ts, value) until acked — idempotent at the
-      // replicas, so the retries are one logical operation whose interval
-      // spans every attempt.
-      const lin::Tag tag{p, ++seq};
-      const auto value = net::wire::encode_tag(tag);
-      const lin::Time inv = recorder.tick();
-      const auto started = SClock::now();
-      for (;;) {
-        if (client.try_write(p, seq, value) == abd::OpStatus::kOk) break;
-        ++ws.failed_update_attempts;
-        if (stop.load(std::memory_order_relaxed)) {
-          ws.has_pending = true;  // shutdown mid-retry: possibly applied
-          ws.pending_tag = tag;
-          ws.pending_inv = inv;
-          ws.stats = client.stats();
-          ws.reconnects = client.reconnects();
-          return;
-        }
-        std::this_thread::sleep_for(retry_pause);
-      }
-      const lin::Time res = recorder.tick();
-      recorder.add_update(p, p, tag, inv, res);
-      ws.update_hist.record(to_ns(SClock::now() - started));
-      ++ws.updates_ok;
-      ws.ops_done.fetch_add(1, std::memory_order_relaxed);
-      ws.last_acked_seq.store(seq, std::memory_order_relaxed);
-    } else {
-      const lin::Time inv = recorder.tick();
-      const auto started = SClock::now();
-      auto view = real_scan(client, writers);
-      if (view.has_value()) {
-        const lin::Time res = recorder.tick();
-        recorder.add_scan(p, std::move(*view), inv, res);
-        ws.scan_hist.record(to_ns(SClock::now() - started));
-        ++ws.scans_ok;
-        ws.ops_done.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++ws.failed_scans;  // observed nothing: dropped
-        std::this_thread::sleep_for(retry_pause);
-      }
-    }
-    std::this_thread::sleep_for(think);
-  }
-  ws.stats = client.stats();
-  ws.reconnects = client.reconnects();
-}
-
 void print_real_report(const std::string& label, const RealReport& r) {
-  std::printf("== %s ==\n", label.c_str());
-  std::printf(
-      "  workload    : %llu updates, %llu scans ok; %llu failed update "
-      "attempts, %llu failed scans, %llu indeterminate (history %zu ops)\n",
-      (unsigned long long)r.updates_ok, (unsigned long long)r.scans_ok,
-      (unsigned long long)r.failed_update_attempts,
-      (unsigned long long)r.failed_scans,
-      (unsigned long long)r.indeterminate_updates, r.history_ops);
+  print_workload(label, r.run);
   std::printf("  injection   : %llu kill -9, %llu SIGSTOP stalls\n",
               (unsigned long long)r.proc.kills,
               (unsigned long long)r.proc.stalls);
@@ -648,32 +514,14 @@ void print_real_report(const std::string& label, const RealReport& r) {
   std::printf(
       "  degradation : %llu retransmit waves, %llu dup replies, %llu "
       "stale-epoch replies, %llu round timeouts, %llu reconnects\n",
-      (unsigned long long)r.client.retransmit_waves,
-      (unsigned long long)r.client.dup_replies,
-      (unsigned long long)r.client.stale_epoch_replies,
-      (unsigned long long)r.client.round_timeouts,
+      (unsigned long long)r.run.rounds.retransmits,
+      (unsigned long long)r.run.rounds.dup_replies,
+      (unsigned long long)r.run.rounds.stale_epoch_replies,
+      (unsigned long long)r.run.rounds.round_timeouts,
       (unsigned long long)r.reconnects);
-  std::printf(
-      "  rounds      : %llu protocol rounds, %llu fast reads, %llu fast "
-      "fallbacks\n",
-      (unsigned long long)r.client.protocol_rounds,
-      (unsigned long long)r.client.fast_reads,
-      (unsigned long long)r.client.fast_fallbacks);
-  std::printf(
-      "  latency     : update p50 %.1f us p99 %.1f us | scan p50 %.1f us "
-      "p99 %.1f us\n",
-      r.update_hist.percentile(0.50) / 1e3,
-      r.update_hist.percentile(0.99) / 1e3,
-      r.scan_hist.percentile(0.50) / 1e3, r.scan_hist.percentile(0.99) / 1e3);
-  if (r.ok()) {
-    std::printf("  verdict     : PASS (no violations)\n");
-  } else {
-    std::printf("  verdict     : FAIL (%zu violation(s))\n",
-                r.violations.size());
-    for (const std::string& v : r.violations) {
-      std::printf("    - %s\n", v.c_str());
-    }
-  }
+  std::printf("  scans       : at most %llu double collects (bound n+1 = %zu)\n",
+              (unsigned long long)r.max_double_collects, r.processes + 1);
+  print_verdict(r.run);
 }
 
 void print_real_json(const Cli& cli, const std::string& scenario,
@@ -684,34 +532,15 @@ void print_real_json(const Cli& cli, const std::string& scenario,
     restart_mean /= (double)r.proc.restart_latencies_ms.size();
   }
   bench::JsonWriter j(r.net_mode ? "E14-netchaos" : "E12-cluster");
-  j.field("scenario", scenario)
-      .field("nodes", (std::uint64_t)cli.nodes)
-      .field("writers", (std::uint64_t)cli.writers)
-      .field("seconds", cli.seconds)
-      .field("seed", (std::uint64_t)cli.seed)
-      .field("crash_rate", cli.crash_rate)
-      .field("violations", (std::uint64_t)r.violations.size())
-      .field("updates_ok", r.updates_ok)
-      .field("scans_ok", r.scans_ok)
-      .field("failed_update_attempts", r.failed_update_attempts)
-      .field("failed_scans", r.failed_scans)
-      .field("indeterminate_updates", r.indeterminate_updates)
+  workload_fields(j, cli, scenario, r.run);
+  j.field("writers", (std::uint64_t)cli.writers)
       .field("kills", r.proc.kills)
       .field("stalls", r.proc.stalls)
       .field("restarts", r.proc.restarts)
       .field("restart_mean_ms", restart_mean)
-      .field("update_p50_us", r.update_hist.percentile(0.50) / 1e3)
-      .field("update_p99_us", r.update_hist.percentile(0.99) / 1e3)
-      .field("scan_p50_us", r.scan_hist.percentile(0.50) / 1e3)
-      .field("scan_p99_us", r.scan_hist.percentile(0.99) / 1e3)
-      .field("retransmit_waves", r.client.retransmit_waves)
-      .field("stale_epoch_replies", r.client.stale_epoch_replies)
-      .field("round_timeouts", r.client.round_timeouts)
-      .field("reconnects", r.reconnects)
-      .field("fast", cli.fast)
-      .field("protocol_rounds", r.client.protocol_rounds)
-      .field("fast_reads", r.client.fast_reads)
-      .field("fast_fallbacks", r.client.fast_fallbacks);
+      .field("max_double_collects", r.max_double_collects)
+      .field("retransmit_waves", r.run.rounds.retransmits)
+      .field("reconnects", r.reconnects);
   if (r.net_mode) {
     j.field("loss", cli.loss)
         .field("delay_ms", cli.delay_ms)
@@ -744,8 +573,9 @@ int run_real(const Cli& cli, NetMode mode) {
                                                         : "net-split";
   RealReport report;
   report.net_mode = mode != NetMode::kNone;
+  report.processes = cli.writers;
   const auto fail = [&](const std::string& why) {
-    report.violations.push_back(why);
+    report.run.violations.push_back(why);
     print_real_report(label, report);
     print_real_json(cli, label, report);
     return 1;
@@ -805,19 +635,39 @@ int run_real(const Cli& cli, NetMode mode) {
     }
   }
 
+  // Figure 2 over the daemons' registers: process w is writer w, and its
+  // client dials through the proxy in net modes.
+  abd::AbdConfig config;
+  config.initial_rto = std::chrono::microseconds(500);
+  config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::seconds(3));
+  config.fast_reads = cli.fast;
+  abd::SocketSnapshot snap(client_eps, writers, /*client_id_base=*/100,
+                           config);
   lin::Recorder recorder(writers);
   std::atomic<bool> stop{false};
-  std::vector<std::unique_ptr<RealWorker>> workers;
+  std::vector<std::unique_ptr<chaos::WorkerState>> workers;
   std::vector<std::thread> threads;
   for (std::size_t w = 0; w < writers; ++w) {
-    workers.push_back(std::make_unique<RealWorker>());
+    workers.push_back(std::make_unique<chaos::WorkerState>());
   }
+  const chaos::WorkerPacing pacing{
+      std::chrono::milliseconds(1),
+      std::chrono::microseconds(static_cast<std::int64_t>(cli.think_ms * 1e3))};
   for (std::size_t w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
-      real_worker_loop(client_eps, static_cast<ProcessId>(w), writers, cli,
-                       recorder, *workers[w], stop);
+      chaos::worker_loop(snap, recorder, *workers[w],
+                         static_cast<ProcessId>(w), pacing, stop);
     });
   }
+  const auto ops_done = [&] {
+    std::uint64_t done = 0;
+    for (const auto& ws : workers) {
+      done += ws->updates_ok.load(std::memory_order_relaxed) +
+              ws->scans_ok.load(std::memory_order_relaxed);
+    }
+    return done;
+  };
 
   // Seeded majority-safe fault injection. One fault (or burst) at a time;
   // never let down + stalled + net-impaired replicas reach a majority
@@ -919,7 +769,7 @@ int run_real(const Cli& cli, NetMode mode) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   if (cluster.unavailable() > 0) {
-    report.violations.push_back(
+    report.run.violations.push_back(
         "liveness: " + std::to_string(cluster.unavailable()) +
         " replica(s) still down after the convergence timeout");
   }
@@ -927,28 +777,21 @@ int run_real(const Cli& cli, NetMode mode) {
   // workload must complete operations. Waits up to its own deadline so a
   // slow-but-live cluster is not a false alarm.
   {
-    std::uint64_t before = 0;
-    for (const auto& ws : workers) {
-      before += ws->ops_done.load(std::memory_order_relaxed);
-    }
+    const std::uint64_t before = ops_done();
     const auto watchdog_by =
         SClock::now() +
         (mode == NetMode::kSplit ? std::chrono::seconds(2)
                                  : std::chrono::seconds(5));
     bool progressed = false;
     while (SClock::now() < watchdog_by) {
-      std::uint64_t now_done = 0;
-      for (const auto& ws : workers) {
-        now_done += ws->ops_done.load(std::memory_order_relaxed);
-      }
-      if (now_done > before) {
+      if (ops_done() > before) {
         progressed = true;
         break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     if (!progressed) {
-      report.violations.push_back(
+      report.run.violations.push_back(
           "liveness: no operation completed after the network healed "
           "(watchdog)");
     }
@@ -958,63 +801,35 @@ int run_real(const Cli& cli, NetMode mode) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
 
-  // Updates unfinished at shutdown are indeterminate: possibly applied any
-  // time up to now, so their interval extends to a final tick.
-  const lin::Time final_tick = recorder.tick();
-  for (std::size_t w = 0; w < writers; ++w) {
-    RealWorker& ws = *workers[w];
-    if (!ws.has_pending) continue;
-    recorder.add_update(static_cast<ProcessId>(w), w, ws.pending_tag,
-                        ws.pending_inv, final_tick);
-    ++report.indeterminate_updates;
-  }
+  chaos::finish_workers(workers, recorder, report.run);
 
   // Durability audit: with the cluster healthy again, every acknowledged
-  // write must be readable — the WAL + majority-resync acceptance check.
-  {
-    abd::AbdConfig config;
-    config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
-        mode == NetMode::kSplit ? std::chrono::seconds(2)
-                                : std::chrono::seconds(5));
-    // The auditor dials through the proxy too: in net modes durability must
-    // hold end-to-end over the (now healed) chaotic wire, and the negative
-    // control must SEE its partition rather than audit around it.
-    abd::RemoteRegisterClient auditor(client_eps, /*client_id=*/999, config);
+  // update must be visible — the WAL + majority-resync acceptance check.
+  // The audit scan is one more Figure 2 scan (as process 0, whose worker
+  // has stopped), through the proxy in net modes: durability must hold
+  // end-to-end over the healed wire, and the negative control must SEE its
+  // partition rather than audit around it.
+  if (const auto view = snap.try_scan(0); !view.has_value()) {
+    report.run.violations.push_back(
+        "durability: audit scan found no majority (quorum timeout)");
+  } else {
     for (std::size_t w = 0; w < writers; ++w) {
       const std::uint64_t acked =
           workers[w]->last_acked_seq.load(std::memory_order_relaxed);
-      const auto got = auditor.try_read(w);
-      if (!got.has_value()) {
-        report.violations.push_back(
+      if ((*view)[w].seq < acked) {
+        report.run.violations.push_back(
             "durability: reg " + std::to_string(w) +
-            " unreadable after recovery (quorum timeout)");
-        continue;
-      }
-      if (got->ts < acked) {
-        report.violations.push_back(
-            "durability: reg " + std::to_string(w) + " lost acked write (ts " +
-            std::to_string(got->ts) + " < acked seq " + std::to_string(acked) +
-            ")");
+            " lost an acked update (seq " + std::to_string((*view)[w].seq) +
+            " < acked seq " + std::to_string(acked) + ")");
       }
     }
   }
-
+  report.run.rounds = snap.round_stats();
+  report.reconnects = snap.reconnects();
   for (std::size_t w = 0; w < writers; ++w) {
-    RealWorker& ws = *workers[w];
-    report.updates_ok += ws.updates_ok;
-    report.scans_ok += ws.scans_ok;
-    report.failed_update_attempts += ws.failed_update_attempts;
-    report.failed_scans += ws.failed_scans;
-    report.client.protocol_rounds += ws.stats.protocol_rounds;
-    report.client.fast_reads += ws.stats.fast_reads;
-    report.client.fast_fallbacks += ws.stats.fast_fallbacks;
-    report.client.retransmit_waves += ws.stats.retransmit_waves;
-    report.client.dup_replies += ws.stats.dup_replies;
-    report.client.stale_epoch_replies += ws.stats.stale_epoch_replies;
-    report.client.round_timeouts += ws.stats.round_timeouts;
-    report.reconnects += ws.reconnects;
-    report.update_hist.merge(ws.update_hist);
-    report.scan_hist.merge(ws.scan_hist);
+    report.max_double_collects =
+        std::max(report.max_double_collects,
+                 snap.stats(static_cast<ProcessId>(w)).max_double_collects);
   }
   report.proc = cluster.report();
   if (report.net_mode) {
@@ -1033,9 +848,9 @@ int run_real(const Cli& cli, NetMode mode) {
   }
 
   const lin::History history = recorder.take();
-  report.history_ops = history.total_ops();
+  report.run.history_ops = history.total_ops();
   if (const auto violation = lin::check_single_writer(history)) {
-    report.violations.push_back("linearizability: " + *violation);
+    report.run.violations.push_back("linearizability: " + *violation);
   }
 
   cluster.stop();

@@ -50,10 +50,9 @@
 #include <vector>
 
 #include "abd/abd_snapshot.hpp"
-#include "abd/remote_client.hpp"
+#include "abd/socket_snapshot.hpp"
 #include "bench_util.hpp"
 #include "net/socket.hpp"
-#include "net/wire.hpp"
 #include "common/rng.hpp"
 #include "core/bounded_mw_snapshot.hpp"
 #include "core/bounded_sw_snapshot.hpp"
@@ -442,16 +441,11 @@ int report(Front& front, std::size_t total_words, const Options& opt) {
   // retransmit waves inside them.
   bool have_rounds = false;
   std::uint64_t protocol_rounds = 0, fast_reads = 0, fast_fallbacks = 0;
-  if constexpr (requires { front.backend().abd_stats(); }) {
-    const auto s = front.backend().abd_stats();
+  if constexpr (requires { front.backend().round_stats(); }) {
+    const abd::RoundStats s = front.backend().round_stats();
     protocol_rounds = s.protocol_rounds;
     fast_reads = s.fast_reads;
     fast_fallbacks = s.fast_fallbacks;
-    have_rounds = true;
-  } else if constexpr (requires { front.backend().fast_reads(); }) {
-    protocol_rounds = front.backend().protocol_rounds();
-    fast_reads = front.backend().fast_reads();
-    fast_fallbacks = front.backend().fast_fallbacks();
     have_rounds = true;
   }
   const std::uint64_t fast_attempts = fast_reads + fast_fallbacks;
@@ -597,93 +591,55 @@ int run_front(const Options& opt, MakeBackend&& make) {
 }
 
 /// Snapshot backend over a REAL socket cluster of abd_replicad daemons
-/// (--cluster host:port,...): per-slot RemoteRegisterClients — writers use
-/// ts = tag.seq, which the service keeps monotone per slot across lease
-/// handovers, so retransmitted writes stay idempotent — and scan is a
-/// bounded double collect of atomic (write-back) reads: two identical
-/// consecutive collects form a linearizable snapshot (Afek et al.
-/// Observation 1). Quorum loss surfaces as QuorumUnavailable, same as the
-/// in-process ABD backend.
+/// (--cluster host:port,...): Figure 2 on the daemons' registers
+/// (abd::SocketSnapshot), one snapshot process per slot; quorum loss
+/// surfaces as QuorumUnavailable, same as the in-process ABD backend.
+///
+/// The daemons outlive a run, so their registers start at the previous
+/// run's last tags, while the service numbers each slot's tags from 1
+/// again. Tags are therefore stored shifted by the slot's pre-run seq (read
+/// by one scan before the service starts) and shifted back on scans, where
+/// a pre-run value reads as the initial tag: a rerun's checked history
+/// stands on its own.
 class ClusterSnapshot {
  public:
   ClusterSnapshot(const std::vector<net::Endpoint>& endpoints,
                   std::size_t slots, std::uint64_t seed)
-      : slots_(slots) {
-    abd::AbdConfig config;
-    config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::seconds(5));
-    for (std::size_t i = 0; i < slots; ++i) {
-      writers_.push_back(std::make_unique<abd::RemoteRegisterClient>(
-          endpoints, seed * 10000 + 2000 + i, config));
-      scanners_.push_back(std::make_unique<abd::RemoteRegisterClient>(
-          endpoints, seed * 10000 + 3000 + i, config));
-    }
+      : snap_(endpoints, slots, seed * 10000 + 2000, config()), base_(slots) {
+    const std::vector<Tag> before = snap_.scan(0);
+    for (std::size_t w = 0; w < slots; ++w) base_[w] = before[w].seq;
   }
 
-  std::size_t size() const { return slots_; }
+  std::size_t size() const { return snap_.size(); }
 
   void update(ProcessId i, Tag v) {
-    if (writers_[i]->try_write(i, v.seq, net::wire::encode_tag(v)) !=
-        abd::OpStatus::kOk) {
-      throw abd::QuorumUnavailable("write");
-    }
+    snap_.update(i, Tag{v.writer, v.seq + base_[i]});
   }
 
   std::vector<Tag> scan(ProcessId i) {
-    auto& client = *scanners_[i % slots_];
-    constexpr int kMaxCollects = 64;
-    auto prev = collect(client);
-    for (int attempt = 1; attempt < kMaxCollects; ++attempt) {
-      auto cur = collect(client);
-      if (cur.first == prev.first) return cur.second;
-      prev = std::move(cur);
+    std::vector<Tag> view = snap_.scan(i);
+    for (std::size_t w = 0; w < view.size(); ++w) {
+      view[w] = view[w].seq <= base_[w]
+                    ? Tag{}
+                    : Tag{view[w].writer, view[w].seq - base_[w]};
     }
-    throw abd::QuorumUnavailable("scan (no clean double collect)");
+    return view;
   }
+
+  /// Summed client round counters (the E16 fast-hit accounting).
+  abd::RoundStats round_stats() const { return snap_.round_stats(); }
 
  private:
-  /// (ts vector, tag vector) of one collect; throws on quorum timeout.
-  std::pair<std::vector<std::uint64_t>, std::vector<Tag>> collect(
-      abd::RemoteRegisterClient& client) {
-    std::vector<std::uint64_t> ts(slots_);
-    std::vector<Tag> tags(slots_);
-    for (std::size_t w = 0; w < slots_; ++w) {
-      const auto got = client.try_read(w);
-      if (!got.has_value()) throw abd::QuorumUnavailable("scan read");
-      ts[w] = got->ts;
-      if (got->ts != 0) {
-        const auto tag = net::wire::decode_tag(got->value);
-        if (!tag.has_value()) throw abd::QuorumUnavailable("scan decode");
-        tags[w] = *tag;
-      }
-    }
-    return {std::move(ts), std::move(tags)};
+  static abd::AbdConfig config() {
+    abd::AbdConfig config;
+    config.initial_rto = std::chrono::microseconds(500);
+    config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::seconds(5));
+    return config;
   }
 
- public:
-  /// Summed client-side round counters across all writer/scanner clients
-  /// (the E16 fast-hit accounting for --backend cluster).
-  abd::RemoteRegisterClient::Stats abd_stats() const {
-    abd::RemoteRegisterClient::Stats total;
-    const auto add = [&](const abd::RemoteRegisterClient& c) {
-      const auto s = c.stats();
-      total.protocol_rounds += s.protocol_rounds;
-      total.fast_reads += s.fast_reads;
-      total.fast_fallbacks += s.fast_fallbacks;
-      total.retransmit_waves += s.retransmit_waves;
-      total.dup_replies += s.dup_replies;
-      total.stale_epoch_replies += s.stale_epoch_replies;
-      total.round_timeouts += s.round_timeouts;
-    };
-    for (const auto& c : writers_) add(*c);
-    for (const auto& c : scanners_) add(*c);
-    return total;
-  }
-
- private:
-  std::size_t slots_;
-  std::vector<std::unique_ptr<abd::RemoteRegisterClient>> writers_;
-  std::vector<std::unique_ptr<abd::RemoteRegisterClient>> scanners_;
+  abd::SocketSnapshot snap_;
+  std::vector<std::uint64_t> base_;  ///< per slot: seq stored before this run
 };
 
 /// A3 behind the single-writer adapter (m == n words).
@@ -821,10 +777,15 @@ int main(int argc, char** argv) {
                    "host:port endpoints\n");
       return usage();
     }
-    ClusterSnapshot snap(*endpoints, opt.slots, opt.seed);
-    svc::SnapshotService<ClusterSnapshot, lin::Tag> service(
-        snap, service_config(opt));
-    return report(service, opt.slots, opt);
+    try {
+      ClusterSnapshot snap(*endpoints, opt.slots, opt.seed);
+      svc::SnapshotService<ClusterSnapshot, lin::Tag> service(
+          snap, service_config(opt));
+      return report(service, opt.slots, opt);
+    } catch (const abd::QuorumUnavailable& e) {
+      std::fprintf(stderr, "loadgen: %s\n", e.what());
+      return 1;
+    }
   }
   std::fprintf(stderr, "loadgen: unknown backend '%s'\n", opt.backend.c_str());
   return usage();
