@@ -3,8 +3,11 @@
 // Part 1 reports messages per snapshot operation as the cluster grows, and
 // demonstrates liveness under minority crashes: updates/scans keep
 // completing, at a reduced message cost (crashed nodes' traffic vanishes).
-// Expected shape: a scan is n register reads, each ~2 quorum rounds of ~2n
-// messages, so messages/scan grows ~n^2 (times retries under contention).
+// Expected shape: a scan is two collects, and each collect is ONE batched
+// quorum round (plus one batched write-back when some register lacks
+// stability evidence) of ~2n messages, so messages/scan grows ~4n — not
+// the ~4n^2 of n separate register reads. The batch table reports protocol
+// rounds per scan and scan p50 at n in {3, 8, 32} over a fixed op count.
 //
 // Part 2 sweeps the lossy-network adversary (seeded drop rate, optional
 // duplication) on a fixed cluster and reports the robustness overhead the
@@ -24,6 +27,7 @@
 
 #include "abd/abd_snapshot.hpp"
 #include "bench_util.hpp"
+#include "common/instrumentation.hpp"
 #include "common/rng.hpp"
 #include "lin/history.hpp"
 #include "lin/snapshot_checker.hpp"
@@ -38,20 +42,36 @@ using namespace std::chrono_literals;
 struct OpCost {
   double update_msgs;
   double scan_msgs;
+  double update_rounds;
+  double scan_rounds;
+  double scan_p50_us;
 };
 
+/// kOps updates, then kOps scans, by one process on a quiescent cluster.
 OpCost measure(abd::MessagePassingSnapshot<std::uint64_t>& snap,
-               std::size_t live_process) {
-  constexpr int kOps = 10;
+               std::size_t live_process, int kOps = 10) {
   const auto pid = static_cast<ProcessId>(live_process);
-  const std::uint64_t before_updates = snap.messages_sent();
+  const std::uint64_t msgs0 = snap.messages_sent();
+  const std::uint64_t rounds0 = snap.protocol_rounds();
   for (int i = 0; i < kOps; ++i) snap.update(pid, i + 1);
-  const std::uint64_t after_updates = snap.messages_sent();
-  for (int i = 0; i < kOps; ++i) (void)snap.scan(pid);
-  const std::uint64_t after_scans = snap.messages_sent();
+  const std::uint64_t msgs1 = snap.messages_sent();
+  const std::uint64_t rounds1 = snap.protocol_rounds();
+  trace::LogHistogram scan_ns;
+  for (int i = 0; i < kOps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)snap.scan(pid);
+    scan_ns.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+  }
+  const double ops = kOps;
   return OpCost{
-      static_cast<double>(after_updates - before_updates) / kOps,
-      static_cast<double>(after_scans - after_updates) / kOps,
+      static_cast<double>(msgs1 - msgs0) / ops,
+      static_cast<double>(snap.messages_sent() - msgs1) / ops,
+      static_cast<double>(rounds1 - rounds0) / ops,
+      static_cast<double>(snap.protocol_rounds() - rounds1) / ops,
+      static_cast<double>(scan_ns.percentile(0.50)) / 1e3,
   };
 }
 
@@ -107,8 +127,8 @@ LossCost measure_loss(double drop, bool dup) {
 struct FastreadResult {
   double scan_p50_us = 0;
   double scan_p99_us = 0;
-  double fast_hit_ratio = 0;   ///< fast reads / all reads
-  double rounds_per_read = 0;  ///< 1 for a fast read, 2 for a fallback
+  double fast_hit_ratio = 0;   ///< fast register reads / all register reads
+  double rounds_per_scan = 0;  ///< protocol rounds of completed scans
   std::uint64_t fast_reads = 0;
   std::uint64_t fast_fallbacks = 0;
   std::uint64_t failed_ops = 0;
@@ -144,6 +164,7 @@ FastreadResult measure_fastread(bool fast, double read_ratio, double drop,
   lin::Recorder recorder(kN);
   std::vector<trace::LogHistogram> scan_ns(kN);
   std::vector<std::uint64_t> failed(kN, 0);
+  std::vector<std::uint64_t> scan_rounds(kN, 0);
   {
     std::vector<std::jthread> threads;
     for (std::size_t p = 0; p < kN; ++p) {
@@ -153,6 +174,7 @@ FastreadResult measure_fastread(bool fast, double read_ratio, double drop,
         for (int op = 0; op < kOpsPerProc; ++op) {
           if (rng.chance(read_ratio)) {
             const lin::Time inv = recorder.tick();
+            const RetryMeter meter;
             const auto t0 = std::chrono::steady_clock::now();
             auto view = snap.try_scan(pid);
             const auto t1 = std::chrono::steady_clock::now();
@@ -161,6 +183,7 @@ FastreadResult measure_fastread(bool fast, double read_ratio, double drop,
               ++failed[p];
               continue;
             }
+            scan_rounds[p] += meter.elapsed().rounds;
             scan_ns[p].record(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                     .count()));
@@ -182,9 +205,15 @@ FastreadResult measure_fastread(bool fast, double read_ratio, double drop,
 
   FastreadResult r;
   trace::LogHistogram merged;
+  std::uint64_t rounds = 0;
   for (std::size_t p = 0; p < kN; ++p) {
     merged.merge(scan_ns[p]);
     r.failed_ops += failed[p];
+    rounds += scan_rounds[p];
+  }
+  if (merged.count() != 0) {
+    r.rounds_per_scan =
+        static_cast<double>(rounds) / static_cast<double>(merged.count());
   }
   r.scan_p50_us = static_cast<double>(merged.percentile(0.50)) / 1e3;
   r.scan_p99_us = static_cast<double>(merged.percentile(0.99)) / 1e3;
@@ -194,11 +223,6 @@ FastreadResult measure_fastread(bool fast, double read_ratio, double drop,
   if (fast && reads != 0) {
     r.fast_hit_ratio =
         static_cast<double>(r.fast_reads) / static_cast<double>(reads);
-    r.rounds_per_read =
-        static_cast<double>(r.fast_reads + 2 * r.fast_fallbacks) /
-        static_cast<double>(reads);
-  } else {
-    r.rounds_per_read = 2.0;  // every slow-path read is query + write-back
   }
   if (const auto violation = lin::check_single_writer(recorder.take())) {
     std::fprintf(stderr, "E16 VIOLATION: %s\n", violation->c_str());
@@ -218,7 +242,7 @@ void print_fastread_json(bool fast, double read_ratio, double drop,
       .field("scan_p50_us", r.scan_p50_us)
       .field("scan_p99_us", r.scan_p99_us)
       .field("fast_hit_ratio", r.fast_hit_ratio)
-      .field("rounds_per_read", r.rounds_per_read)
+      .field("rounds_per_scan", r.rounds_per_scan)
       .field("fast_reads", r.fast_reads)
       .field("fast_fallbacks", r.fast_fallbacks)
       .field("failed_ops", r.failed_ops)
@@ -251,10 +275,31 @@ int main(int argc, char** argv) {
                 healthy.update_msgs, healthy.scan_msgs, degraded.update_msgs,
                 degraded.scan_msgs);
   }
-  std::printf("\nA scan = n ABD reads (each 2 quorum rounds) inside >=1 "
-              "double collect: messages/scan ~ 4n^2 + handshake-free.\n"
+  std::printf("\nA scan = 2 collects, each one batched quorum round of ~2n "
+              "messages: messages/scan ~ 4n.\n"
               "Minority crashes reduce traffic but never block operations "
               "(liveness needs only a majority).\n");
+
+  std::printf("\n-- batched collects: rounds and scan latency vs n (healthy, "
+              "one process, 200 updates then 200 scans) --\n");
+  std::printf("%4s %12s %12s %14s %12s %12s\n", "n", "rounds/scan",
+              "rounds/upd", "scan p50 us", "msgs/scan", "msgs/update");
+  for (const std::size_t n : {3u, 8u, 32u}) {
+    abd::MessagePassingSnapshot<std::uint64_t> snap(n, 0);
+    const OpCost c = measure(snap, 0, 200);
+    std::printf("%4zu %12.2f %12.2f %14.1f %12.1f %12.1f\n", n,
+                c.scan_rounds, c.update_rounds, c.scan_p50_us, c.scan_msgs,
+                c.update_msgs);
+    bench::JsonWriter("E9-batch")
+        .field("n", n)
+        .field("ops", 200)
+        .field("rounds_per_scan", c.scan_rounds)
+        .field("rounds_per_update", c.update_rounds)
+        .field("scan_p50_us", c.scan_p50_us)
+        .field("msgs_per_scan", c.scan_msgs)
+        .field("msgs_per_update", c.update_msgs)
+        .print();
+  }
 
   std::printf("\n-- loss-rate sweep (n=5, seeded adversary; messages include "
               "retransmitted broadcasts) --\n");
@@ -295,7 +340,7 @@ int main(int argc, char** argv) {
   std::printf("\n-- E16: one-round fast reads, A/B at read ratio 0.99 "
               "(n=5, healthy wire, every cell checked) --\n");
   std::printf("%5s %14s %14s %10s %12s %11s %10s\n", "fast", "scan p50 us",
-              "scan p99 us", "fast hit", "rounds/read", "violations",
+              "scan p99 us", "fast hit", "rounds/scan", "violations",
               "failed");
   FastreadResult off, on;
   for (const bool fast : {false, true}) {
@@ -303,7 +348,7 @@ int main(int argc, char** argv) {
     (fast ? on : off) = r;
     std::printf("%5s %14.1f %14.1f %9.1f%% %12.2f %11llu %10llu\n",
                 fast ? "on" : "off", r.scan_p50_us, r.scan_p99_us,
-                100.0 * r.fast_hit_ratio, r.rounds_per_read,
+                100.0 * r.fast_hit_ratio, r.rounds_per_scan,
                 static_cast<unsigned long long>(r.violations),
                 static_cast<unsigned long long>(r.failed_ops));
     print_fastread_json(fast, 0.99, 0.0, 0.0, r);
@@ -320,7 +365,7 @@ int main(int argc, char** argv) {
   std::printf("\n-- E16: fast-read sweep, read ratio x drop x delay "
               "(fast on, every cell checked) --\n");
   std::printf("%6s %6s %9s %14s %10s %12s %11s\n", "ratio", "drop",
-              "delay ms", "scan p50 us", "fast hit", "rounds/read",
+              "delay ms", "scan p50 us", "fast hit", "rounds/scan",
               "violations");
   for (const double ratio : {0.5, 0.99}) {
     for (const double drop : {0.0, 0.1, 0.3}) {
@@ -328,7 +373,7 @@ int main(int argc, char** argv) {
         const FastreadResult r = measure_fastread(true, ratio, drop, delay_ms);
         std::printf("%6.2f %5.0f%% %9.1f %14.1f %9.1f%% %12.2f %11llu\n",
                     ratio, drop * 100, delay_ms, r.scan_p50_us,
-                    100.0 * r.fast_hit_ratio, r.rounds_per_read,
+                    100.0 * r.fast_hit_ratio, r.rounds_per_scan,
                     static_cast<unsigned long long>(r.violations));
         print_fastread_json(true, ratio, drop, delay_ms, r);
       }

@@ -20,16 +20,18 @@
 // within the deadline; otherwise operations return OpStatus::kTimeout.
 //
 // Crashed nodes may recover(): their endpoints reopen and, before the
-// replica resumes serving, its state is resynchronized by a quorum read of
-// every register so it rejoins no staler than the latest majority-acked
-// write. Each recovery bumps the node's incarnation EPOCH, which its
-// replica stamps on every reply.
+// replica resumes serving, its state is resynchronized by one batched
+// quorum query of every register so it rejoins no staler than the latest
+// majority-acked write. Each recovery bumps the node's incarnation EPOCH,
+// which its replica stamps on every reply.
 //
 // AbdRegisterArray adapts a cluster to reg::SwmrRegisterArray, so the
 // UNCHANGED Figure 2 snapshot algorithm (core::UnboundedSwSnapshot) can be
-// instantiated on top of a message-passing system. Quorum failures surface
-// as QuorumUnavailable exceptions so degraded-mode callers (try_scan /
-// try_update on the snapshot layer) can observe them without aborting.
+// instantiated on top of a message-passing system; its collect is one
+// batched read of every register (QuorumClient::try_read_batch). Quorum
+// failures surface as QuorumUnavailable exceptions so degraded-mode callers
+// (try_scan / try_update on the snapshot layer) can observe them without
+// aborting.
 #pragma once
 
 #include <any>
@@ -99,10 +101,12 @@ class AbdCluster {
       : net_(nodes, seed),
         replicas_(nodes),
         write_ts_(regs, 0),
+        all_regs_(regs),
         epochs_(nodes),
         recover_mu_(nodes) {
     ASNAP_ASSERT(nodes >= 1 && regs >= 1);
     for (auto& epoch : epochs_) epoch.store(0, std::memory_order_relaxed);
+    for (std::size_t reg = 0; reg < regs; ++reg) all_regs_[reg] = reg;
     for (auto& node_replicas : replicas_) {
       node_replicas.assign(regs, Replica{0, 0, init});
     }
@@ -137,7 +141,6 @@ class AbdCluster {
   /// when no majority of distinct replicas acks within the deadline.
   OpStatus try_write(std::size_t reg, net::NodeId writer, V value) {
     ASNAP_ASSERT(reg < registers());
-    step_point(StepKind::kRegisterWrite);
     const std::uint64_t ts = ++write_ts_[reg];
     return clients_[writer].try_write(reg, ts, std::move(value));
   }
@@ -147,10 +150,22 @@ class AbdCluster {
   /// failure (timeout or closed endpoint).
   std::optional<V> try_read(std::size_t reg, net::NodeId reader) {
     ASNAP_ASSERT(reg < registers());
-    step_point(StepKind::kRegisterRead);
     std::optional<Versioned<V>> got = clients_[reader].try_read(reg);
     if (!got.has_value()) return std::nullopt;
     return std::move(got->value);
+  }
+
+  /// Atomic read of every register into `out` (out[r] = register r) by one
+  /// batched query round plus at most one batched write-back round
+  /// (QuorumClient::try_read_batch). Each register's read is linearized
+  /// inside the call. False carries the round's failure.
+  bool try_collect(net::NodeId reader, std::vector<V>& out) {
+    auto got = clients_[reader].try_read_batch(all_regs_);
+    if (!got.has_value()) return false;
+    out.clear();
+    out.reserve(got->size());
+    for (Versioned<V>& reg : *got) out.push_back(std::move(reg.value));
+    return true;
   }
 
   /// Asserting wrappers for callers that operate under the liveness
@@ -204,23 +219,26 @@ class AbdCluster {
     servers_[node] = std::jthread();  // join the exited incarnation
     net_.recover(node);
     // Resync before serving: the node's replica may predate majority-acked
-    // writes it missed while down. One query-only round per register from
-    // the node's own client (its server is not up yet, so replies can only
-    // come from the other replicas). The query never writes back and never
-    // installs confirmed_ts: resync learns a value, not that a majority
-    // stores it.
-    for (std::size_t reg = 0; reg < registers(); ++reg) {
-      Replica& rep = replicas_[node][reg];
-      auto best = clients_[node].try_query(reg, majority() - 1,
-                                           Versioned<V>{rep.ts, rep.value});
-      if (!best.has_value()) {
-        net_.crash(node);  // could not resync: stay down
-        ASNAP_TRACE_EVENT(trace::EventKind::kRecoverEnd, node, 0);
-        return false;
-      }
-      if (best->ts > rep.ts) {
-        rep.ts = best->ts;
-        rep.value = std::move(best->value);
+    // writes it missed while down. One query-only round over every
+    // register from the node's own client (its server is not up yet, so
+    // replies can only come from the other replicas). The query never
+    // writes back and never installs confirmed_ts: resync learns a value,
+    // not that a majority stores it.
+    std::vector<Replica>& local = replicas_[node];
+    std::vector<Versioned<V>> seed;
+    seed.reserve(local.size());
+    for (const Replica& rep : local) seed.push_back({rep.ts, rep.value});
+    auto best =
+        clients_[node].try_query(all_regs_, majority() - 1, std::move(seed));
+    if (!best.has_value()) {
+      net_.crash(node);  // could not resync: stay down
+      ASNAP_TRACE_EVENT(trace::EventKind::kRecoverEnd, node, 0);
+      return false;
+    }
+    for (std::size_t reg = 0; reg < local.size(); ++reg) {
+      if ((*best)[reg].ts > local[reg].ts) {
+        local[reg].ts = (*best)[reg].ts;
+        local[reg].value = std::move((*best)[reg].value);
       }
     }
     servers_[node] = std::jthread(
@@ -314,29 +332,43 @@ class AbdCluster {
       auto msg = inbox.receive();
       if (!msg.has_value()) return;  // closed: shutdown or crash
       const auto& req = std::any_cast<const Request<V>&>(msg->payload);
-      Replica& rep = replicas_[id][req.reg];
+      std::vector<Replica>& regs = replicas_[id];
+      for (const Entry<V>& e : req.entries) ASNAP_ASSERT(e.reg < regs.size());
       const std::uint64_t epoch = epochs_[id].load(std::memory_order_relaxed);
       switch (msg->type) {
-        case kReadReq:
+        case kReadReq: {
+          Reply<V> reply{epoch, {}};
+          reply.entries.reserve(req.entries.size());
+          for (const Entry<V>& e : req.entries) {
+            const Replica& rep = regs[e.reg];
+            reply.entries.push_back(Entry<V>{
+                e.reg, rep.ts, rep.ts > 0 && rep.confirmed_ts >= rep.ts,
+                rep.value});
+          }
           net_.send(id, msg->from, net::Port::kClient, kReadReply, msg->rid,
-                    std::any(Reply<V>{epoch, rep.ts,
-                                      rep.ts > 0 && rep.confirmed_ts >= rep.ts,
-                                      rep.value}));
+                    std::any(std::move(reply)));
           break;
+        }
         case kWriteReq:
-          if (req.ts > rep.ts) {
-            rep.ts = req.ts;
-            rep.value = req.value;
+          for (const Entry<V>& e : req.entries) {
+            Replica& rep = regs[e.reg];
+            if (e.ts > rep.ts) {
+              rep.ts = e.ts;
+              rep.value = e.value;
+            }
           }
           net_.send(id, msg->from, net::Port::kClient, kWriteAck, msg->rid,
-                    std::any(Reply<V>{epoch}));
+                    std::any(Reply<V>{epoch, {}}));
           break;
         case kConfirm:
           // Atomic store: tests poll replica_confirmed_ts() while the
           // server folds in a confirm that no reply acknowledges.
-          if (req.ts > rep.confirmed_ts) {
-            std::atomic_ref(rep.confirmed_ts)
-                .store(req.ts, std::memory_order_relaxed);
+          for (const Entry<V>& e : req.entries) {
+            Replica& rep = regs[e.reg];
+            if (e.ts > rep.confirmed_ts) {
+              std::atomic_ref(rep.confirmed_ts)
+                  .store(e.ts, std::memory_order_relaxed);
+            }
           }
           break;  // fire-and-forget: no reply
         default:
@@ -348,6 +380,7 @@ class AbdCluster {
   net::Network net_;
   std::vector<std::vector<Replica>> replicas_;  ///< [node][register]
   std::vector<std::uint64_t> write_ts_;  ///< per register; owner-only access
+  std::vector<std::uint64_t> all_regs_;  ///< 0..registers()-1, for batches
   /// Incarnation epoch per node, bumped by each effective recover().
   std::vector<std::atomic<std::uint64_t>> epochs_;
   /// One quorum client per node (deque: clients don't move).
@@ -370,6 +403,12 @@ class AbdRegisterArray {
     std::optional<Rec> value = cluster_->try_read(owner, reader);
     if (!value.has_value()) throw QuorumUnavailable("read");
     return *std::move(value);
+  }
+
+  /// Every register in one batched read (reg::SwmrRegisterArray's optional
+  /// collect): one query round plus at most one write-back round.
+  void collect(ProcessId reader, std::vector<Rec>& out) const {
+    if (!cluster_->try_collect(reader, out)) throw QuorumUnavailable("read");
   }
 
   void write(ProcessId owner, Rec rec) {

@@ -42,6 +42,15 @@
 //     fire-and-forget CONFIRM(ts) to make the second case common. Any other
 //     evidence runs the two-round path, so safety reduces to [ABD]'s
 //     (DESIGN.md §15).
+//   * BATCHES. Requests and replies carry a list of register entries. A
+//     batched read of k registers is ONE query round whose replies carry k
+//     (ts, confirmed, value) triples; the maximum and the evidence are
+//     folded per register, and only the registers without evidence are
+//     written back, together in one write-back round followed by one
+//     confirm broadcast. A one-register read is the k = 1 case, so the
+//     fast-read decision exists once. Each register keeps [ABD] atomicity
+//     on its own: its read is linearized inside the batch's interval
+//     (DESIGN.md §11, "Batched collects").
 //   * BREAKER. With AbdConfig::breaker.enabled and a failure detector
 //     attached, waves skip replicas the client suspects (every
 //     probe_every-th wave probes them anyway) and a round fails fast once
@@ -66,12 +75,14 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "abd/replica_health.hpp"
+#include "common/assert.hpp"
 #include "common/backoff.hpp"
 #include "common/instrumentation.hpp"
 #include "net/failure_detector.hpp"
@@ -145,15 +156,24 @@ struct AbdConfig {
   BreakerConfig breaker;
 };
 
-/// A client request. kReadReq uses reg; kWriteReq reg, ts and value;
-/// kConfirm reg and ts.
+/// One register's slot in a request or a reply. A kReadReq entry names
+/// its register; a kWriteReq entry carries (reg, ts, value) and a kConfirm
+/// entry (reg, ts). A kReadReply entry is the replica's (ts, confirmed,
+/// value) for the register of the request entry at the same position.
+template <typename V>
+struct Entry {
+  std::uint64_t reg = 0;
+  std::uint64_t ts = 0;
+  bool confirmed = false;  ///< kReadReply: ts > 0 and known majority-acked
+  V value{};
+};
+
+/// A client request over one or more registers.
 template <typename V>
 struct Request {
   std::uint64_t type = 0;
   std::uint64_t rid = 0;
-  std::uint64_t reg = 0;
-  std::uint64_t ts = 0;
-  V value{};
+  std::vector<Entry<V>> entries;
 };
 
 /// A replica's reply, as a transport decodes it (the responder, type and
@@ -161,9 +181,10 @@ struct Request {
 template <typename V>
 struct Reply {
   std::uint64_t epoch = 0;  ///< responder's incarnation at reply time
-  std::uint64_t ts = 0;     ///< kReadReply: the replica's timestamp
-  bool confirmed = false;   ///< kReadReply: ts > 0 and known majority-acked
-  V value{};                ///< kReadReply: the replica's value
+  /// kReadReply: one entry per request entry, in request order; a reply
+  /// that does not answer every requested register is dropped. Empty for
+  /// acks.
+  std::vector<Entry<V>> entries;
 };
 
 /// A register's (timestamp, value) pair; ts == 0 is the initial value.
@@ -251,62 +272,78 @@ class QuorumClient {
   /// (ts, value) is sound.
   OpStatus try_write(std::uint64_t reg, std::uint64_t ts, V value) {
     std::lock_guard lock(op_mu_);
+    step_point(StepKind::kRegisterWrite);
     const auto deadline = Clock::now() + config_.op_deadline;
-    const OpStatus status = write_round(reg, ts, std::move(value), deadline);
+    std::vector<Entry<V>> entries(1);
+    entries[0] = Entry<V>{reg, ts, false, std::move(value)};
+    const OpStatus status = write_round(entries, deadline);
     // The "half round" of the 1.5-round write: once a majority acked ts,
     // tell every replica so future fast reads of ts can skip write-back.
-    if (status == OpStatus::kOk) broadcast_confirm(reg, ts);
+    if (status == OpStatus::kOk) broadcast_confirm(entries);
     return status;
   }
 
-  /// Atomic read: the query round, then the write-back round unless the
-  /// query proved the adopted pair stable (fast reads). nullopt carries the
-  /// failure (timeout or closed endpoint).
+  /// Atomic read of one register: the batch of one (try_read_batch).
   std::optional<Versioned<V>> try_read(std::uint64_t reg) {
+    auto got = try_read_batch(std::span<const std::uint64_t>(&reg, 1));
+    if (!got.has_value()) return std::nullopt;
+    return std::move(got->front());
+  }
+
+  /// Atomic read of every register in `regs`, in order: ONE query round
+  /// whose replies carry a triple per register, then — unless the query
+  /// proved every adopted pair stable (fast reads) — ONE write-back round
+  /// carrying exactly the registers without stability evidence. Each
+  /// register's read is linearized inside this call. nullopt carries the
+  /// failure (timeout or closed endpoint).
+  std::optional<std::vector<Versioned<V>>> try_read_batch(
+      std::span<const std::uint64_t> regs) {
     std::lock_guard lock(op_mu_);
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+      step_point(StepKind::kRegisterRead);
+    }
     const auto deadline = Clock::now() + config_.op_deadline;
-    Versioned<V> best;
-    Evidence ev;
-    if (query_round(reg, majority(), deadline, best, /*have=*/false,
+    std::vector<Versioned<V>> best(regs.size());
+    std::vector<Evidence> ev(regs.size());
+    if (query_round(regs, majority(), deadline, best, /*have=*/false,
                     /*allow_breaker=*/true, ev) != OpStatus::kOk) {
       return std::nullopt;
     }
-    if (config_.fast_reads || config_.unsafe_always_fast_read) {
-      const bool stable = ev.agree == ev.accepted || ev.best_confirmed;
-      if (stable || config_.unsafe_always_fast_read) {
-        fast_reads_.fetch_add(1, std::memory_order_relaxed);
-        ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastRead, self_, reg,
-                          best.ts);
-        return best;
+    // Write-back round: make every adopted pair without evidence stable at
+    // a majority before returning it (the atomicity upgrade).
+    std::vector<Entry<V>> write_back;
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+      if (!skip_write_back(regs[i], best[i].ts, ev[i])) {
+        write_back.push_back(
+            Entry<V>{regs[i], best[i].ts, false, best[i].value});
       }
-      fast_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastFallback, self_, reg,
-                        ev.agree < ev.accepted ? trace::kFastFallbackDisagree
-                                               : trace::kFastFallbackGap);
     }
-    // Write-back round: make the adopted pair stable at a majority before
-    // returning it (the atomicity upgrade).
-    if (write_round(reg, best.ts, best.value, deadline) != OpStatus::kOk) {
-      return std::nullopt;
+    if (!write_back.empty()) {
+      if (write_round(write_back, deadline) != OpStatus::kOk) {
+        return std::nullopt;
+      }
+      broadcast_confirm(write_back);
     }
-    broadcast_confirm(reg, best.ts);
     return best;
   }
 
   /// Query round only, with NO write-back and no breaker: not atomic on its
   /// own. For replica resync (which installs the result locally instead of
   /// serving it) and for a restarted writer learning its register's
-  /// timestamp. `needed` distinct replies are folded into `seed` (a resync
-  /// seeds with the local replica, which is then one quorum member).
-  std::optional<Versioned<V>> try_query(
-      std::uint64_t reg, std::size_t needed,
-      std::optional<Versioned<V>> seed = std::nullopt) {
+  /// timestamp. `needed` distinct replies are folded, per register of
+  /// `regs`, into `seed` (one pair per register; a resync seeds with the
+  /// local replica, which is then one quorum member).
+  std::optional<std::vector<Versioned<V>>> try_query(
+      std::span<const std::uint64_t> regs, std::size_t needed,
+      std::vector<Versioned<V>> seed = {}) {
     std::lock_guard lock(op_mu_);
     const auto deadline = Clock::now() + config_.op_deadline;
-    const bool have = seed.has_value();
-    Versioned<V> best = have ? *std::move(seed) : Versioned<V>{};
-    Evidence ev;
-    if (query_round(reg, needed, deadline, best, have,
+    const bool have = !seed.empty();
+    ASNAP_ASSERT(!have || seed.size() == regs.size());
+    std::vector<Versioned<V>> best =
+        have ? std::move(seed) : std::vector<Versioned<V>>(regs.size());
+    std::vector<Evidence> ev(regs.size());
+    if (query_round(regs, needed, deadline, best, have,
                     /*allow_breaker=*/false, ev) != OpStatus::kOk) {
       return std::nullopt;
     }
@@ -359,6 +396,16 @@ class QuorumClient {
   };
 
   std::uint64_t next_rid() { return next_rid_++; }
+
+  /// A read reply counts only if it carries a triple for every requested
+  /// register, in request order.
+  static bool answers(const Request<V>& request, const Reply<V>& reply) {
+    if (reply.entries.size() != request.entries.size()) return false;
+    for (std::size_t i = 0; i < reply.entries.size(); ++i) {
+      if (reply.entries[i].reg != request.entries[i].reg) return false;
+    }
+    return true;
+  }
 
   /// One retransmitting quorum round for `request`, collecting replies of
   /// `want_type` until `needed` distinct replicas are counted. on_reply
@@ -477,6 +524,7 @@ class QuorumClient {
         if (msg->rid != rid || msg->type != want_type) continue;  // stale round
         std::optional<Reply<V>> reply = transport_.decode(*msg);
         if (!reply.has_value()) continue;
+        if (want_type == kReadReply && !answers(request, *reply)) continue;
         const net::NodeId from = msg->from;
         if (reply->epoch < max_epoch_[from]) {  // pre-crash incarnation
           stale_epoch_replies_.fetch_add(1, std::memory_order_relaxed);
@@ -515,57 +563,86 @@ class QuorumClient {
     return status;
   }
 
-  /// Query round: fold the maximum (ts, value) over `needed` distinct
-  /// replies into `best` (adopting the first reply unless `have`), and
-  /// gather the fast-read evidence alongside.
-  OpStatus query_round(std::uint64_t reg, std::size_t needed,
-                       Clock::time_point deadline, Versioned<V>& best,
-                       bool have, bool allow_breaker, Evidence& ev) {
+  /// The fast-read decision for one register of a query round: true when
+  /// its write-back may be skipped. Counted and traced per register.
+  bool skip_write_back(std::uint64_t reg, std::uint64_t ts,
+                       const Evidence& ev) {
+    if (!config_.fast_reads && !config_.unsafe_always_fast_read) return false;
+    const bool stable = ev.agree == ev.accepted || ev.best_confirmed;
+    if (stable || config_.unsafe_always_fast_read) {
+      fast_reads_.fetch_add(1, std::memory_order_relaxed);
+      ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastRead, self_, reg, ts);
+      return true;
+    }
+    fast_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastFallback, self_, reg,
+                      ev.agree < ev.accepted ? trace::kFastFallbackDisagree
+                                             : trace::kFastFallbackGap);
+    return false;
+  }
+
+  /// Query round over `regs`: fold, per register, the maximum (ts, value)
+  /// over `needed` distinct replies into `best` (adopting the first reply
+  /// unless `have`), and gather that register's fast-read evidence.
+  OpStatus query_round(std::span<const std::uint64_t> regs, std::size_t needed,
+                       Clock::time_point deadline,
+                       std::vector<Versioned<V>>& best, bool have,
+                       bool allow_breaker, std::vector<Evidence>& ev) {
     Request<V> request;
     request.type = kReadReq;
     request.rid = next_rid();
-    request.reg = reg;
+    request.entries.resize(regs.size());
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+      request.entries[i].reg = regs[i];
+    }
     return run_round(request, kReadReply, needed, deadline, allow_breaker,
                      [&](Reply<V>&& reply) {
-                       if (!have || reply.ts > best.ts) {
-                         best.ts = reply.ts;
-                         best.value = std::move(reply.value);
-                         have = true;
-                         ev.agree = 1;
-                         ev.best_confirmed = reply.confirmed;
-                       } else if (reply.ts == best.ts) {
-                         ++ev.agree;
-                         ev.best_confirmed =
-                             ev.best_confirmed || reply.confirmed;
+                       for (std::size_t i = 0; i < regs.size(); ++i) {
+                         fold(reply.entries[i], have, best[i], ev[i]);
                        }
-                       ++ev.accepted;
+                       have = true;
                      });
   }
 
-  OpStatus write_round(std::uint64_t reg, std::uint64_t ts, V value,
+  static void fold(Entry<V>& got, bool have, Versioned<V>& best,
+                   Evidence& ev) {
+    if (!have || got.ts > best.ts) {
+      best.ts = got.ts;
+      best.value = std::move(got.value);
+      ev.agree = 1;
+      ev.best_confirmed = got.confirmed;
+    } else if (got.ts == best.ts) {
+      ++ev.agree;
+      ev.best_confirmed = ev.best_confirmed || got.confirmed;
+    }
+    ++ev.accepted;
+  }
+
+  /// One majority round writing every (reg, ts, value) of `entries`.
+  OpStatus write_round(const std::vector<Entry<V>>& entries,
                        Clock::time_point deadline) {
     Request<V> request;
     request.type = kWriteReq;
     request.rid = next_rid();
-    request.reg = reg;
-    request.ts = ts;
-    request.value = std::move(value);
+    request.entries = entries;
     return run_round(request, kWriteAck, majority(), deadline,
                      /*allow_breaker=*/true, [](Reply<V>&&) {});
   }
 
-  /// Fire-and-forget stability notice after a majority-acked write or
-  /// write-back round. No retransmission and no acks: a lost confirm only
-  /// costs a later fast read its hit. ts == 0 (never written) needs no
-  /// confirm — unanimity covers it. Sends are bounded by one max_rto so a
-  /// wedged connection cannot stall the client.
-  void broadcast_confirm(std::uint64_t reg, std::uint64_t ts) {
-    if (ts == 0) return;
+  /// Fire-and-forget stability notice for every (reg, ts) of `entries`
+  /// after a majority-acked write or write-back round, in one message per
+  /// replica. No retransmission and no acks: a lost confirm only costs a
+  /// later fast read its hit. ts == 0 (never written) needs no confirm —
+  /// unanimity covers it. Sends are bounded by one max_rto so a wedged
+  /// connection cannot stall the client.
+  void broadcast_confirm(const std::vector<Entry<V>>& entries) {
     Request<V> request;
     request.type = kConfirm;
+    for (const Entry<V>& e : entries) {
+      if (e.ts != 0) request.entries.push_back(Entry<V>{e.reg, e.ts});
+    }
+    if (request.entries.empty()) return;
     request.rid = next_rid();
-    request.reg = reg;
-    request.ts = ts;
     const auto deadline = Clock::now() + config_.max_rto;
     for (net::NodeId to = 0; to < transport_.size(); ++to) {
       transport_.send(to, request, deadline);

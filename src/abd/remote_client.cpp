@@ -17,11 +17,13 @@ void TcpTransport::send(net::NodeId to, const Request<Value>& request,
   // which the wire numbers after its ping/pong probes.
   frame.type = static_cast<std::uint8_t>(request.type);
   if (request.type == kConfirm) frame.type = net::wire::kConfirm;
+  frame.flags = net::wire::kFlagBatch;  // every request is a v3 batch
   frame.from = client_id_;
   frame.rid = request.rid;
-  frame.reg = request.reg;
-  frame.ts = request.ts;
-  frame.value = request.value;
+  frame.entries.reserve(request.entries.size());
+  for (const Entry<Value>& e : request.entries) {
+    frame.entries.push_back(net::wire::Entry{e.reg, e.ts, 0, e.value});
+  }
   bus_.send(to, frame, deadline);  // a failed send is a lost message
 }
 
@@ -29,9 +31,14 @@ std::optional<Reply<TcpTransport::Value>> TcpTransport::decode(
     net::Message& msg) const {
   auto* frame = std::any_cast<net::wire::Frame>(&msg.payload);
   if (frame == nullptr || msg.from >= bus_.size()) return std::nullopt;
-  return Reply<Value>{frame->epoch, frame->ts,
-                      (frame->flags & net::wire::kFlagTsConfirmed) != 0,
-                      std::move(frame->value)};
+  Reply<Value> reply{frame->epoch, {}};
+  reply.entries.reserve(frame->entries.size());
+  for (net::wire::Entry& e : frame->entries) {
+    reply.entries.push_back(
+        Entry<Value>{e.reg, e.ts, (e.flags & net::wire::kFlagTsConfirmed) != 0,
+                     std::move(e.value)});
+  }
+  return reply;
 }
 
 }  // namespace asnap::abd

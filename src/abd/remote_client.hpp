@@ -1,6 +1,7 @@
 // ABD quorum client for a real socket cluster of tools/abd_replicad daemons:
 // abd::QuorumClient (quorum.hpp) over TcpTransport, which carries requests
-// and replies as wire::Frames on a net::TcpBus. Every round rule — waves,
+// and replies as wire::Frames on a net::TcpBus, every request as a v3 batch
+// frame (wire.hpp) so a collect's k registers share one frame per replica. Every round rule — waves,
 // dedup, the epoch and RTO rules, fast reads — is the engine's, shared with
 // the in-process AbdCluster; this file only translates between the engine's
 // Request/Reply and the wire format.

@@ -39,26 +39,29 @@ std::optional<TagRecord> decode_record(const net::wire::Bytes& bytes,
 SocketRegisters::SocketRegisters(const std::vector<net::Endpoint>& replicas,
                                  std::size_t n, std::uint64_t client_id_base,
                                  AbdConfig config)
-    : ts_(n) {
+    : ts_(n), all_regs_(n) {
   clients_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
+    all_regs_[i] = i;
     clients_.push_back(std::make_unique<RemoteRegisterClient>(
         replicas, client_id_base + i, config));
   }
 }
 
-std::optional<Versioned<net::wire::Bytes>> SocketRegisters::read(
-    std::size_t reg, ProcessId reader) {
-  return clients_[reader]->try_read(reg);
+std::optional<std::vector<Versioned<net::wire::Bytes>>>
+SocketRegisters::collect(ProcessId reader) {
+  return clients_[reader]->try_read_batch(all_regs_);
 }
 
 OpStatus SocketRegisters::write(ProcessId owner, net::wire::Bytes value) {
   RemoteRegisterClient& client = *clients_[owner];
   std::optional<std::uint64_t>& ts = ts_[owner];
   if (!ts.has_value()) {
-    const auto current = client.try_query(owner, client.majority());
+    const std::uint64_t reg = owner;
+    const auto current = client.try_query(
+        std::span<const std::uint64_t>(&reg, 1), client.majority());
     if (!current.has_value()) return OpStatus::kTimeout;
-    ts = current->ts;
+    ts = current->front().ts;
   }
   // A failed write still consumes its timestamp: it may have reached some
   // replicas, and the next write must supersede it.

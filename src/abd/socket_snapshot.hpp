@@ -56,9 +56,10 @@ class SocketRegisters {
 
   std::size_t size() const { return clients_.size(); }
 
-  /// Atomic read of register `reg` through `reader`'s client.
-  std::optional<Versioned<net::wire::Bytes>> read(std::size_t reg,
-                                                  ProcessId reader);
+  /// Atomic read of every register through `reader`'s client, as one
+  /// batched query round plus at most one batched write-back.
+  std::optional<std::vector<Versioned<net::wire::Bytes>>> collect(
+      ProcessId reader);
 
   /// Owner write of register `owner` at the owner's next timestamp (learned
   /// from a quorum query on the first write).
@@ -71,10 +72,13 @@ class SocketRegisters {
   std::vector<std::unique_ptr<RemoteRegisterClient>> clients_;
   /// Last timestamp used per owned register; nullopt until learned.
   std::vector<std::optional<std::uint64_t>> ts_;
+  std::vector<std::uint64_t> all_regs_;  ///< 0..n-1, for collects
 };
 
-/// reg::SwmrRegisterArray view of SocketRegisters for Figure 2's records.
-/// A register that cannot be read or written — no quorum, or bytes that do
+/// Figure 2's register array over SocketRegisters: owner writes and
+/// batched collects (reg::SwmrRegisterArray's optional collect), which are
+/// all the accesses core::UnboundedSwSnapshot makes on an array that can
+/// collect. A collect or write that fails — no quorum, or bytes that do
 /// not decode — throws QuorumUnavailable.
 template <typename Rec>
 class SocketRegisterArray {
@@ -83,12 +87,16 @@ class SocketRegisterArray {
 
   std::size_t size() const { return regs_->size(); }
 
-  Rec read(ProcessId owner, ProcessId reader) const {
-    auto got = regs_->read(owner, reader);
+  void collect(ProcessId reader, std::vector<Rec>& out) const {
+    auto got = regs_->collect(reader);
     if (!got.has_value()) throw QuorumUnavailable("read");
-    std::optional<Rec> rec = decode_record(got->value, got->ts, size());
-    if (!rec.has_value()) throw QuorumUnavailable("read");
-    return *std::move(rec);
+    out.clear();
+    out.reserve(got->size());
+    for (const Versioned<net::wire::Bytes>& reg : *got) {
+      std::optional<Rec> rec = decode_record(reg.value, reg.ts, size());
+      if (!rec.has_value()) throw QuorumUnavailable("read");
+      out.push_back(*std::move(rec));
+    }
   }
 
   void write(ProcessId owner, Rec rec) {

@@ -59,7 +59,7 @@ class AbdSupervisor {
   /// Completed recoveries (recover() returned true for a node this
   /// supervisor observed down).
   std::uint64_t recoveries() const {
-    return recoveries_.load(std::memory_order_relaxed);
+    return recoveries_.load(std::memory_order_acquire);
   }
   /// recover() attempts that failed and were rescheduled with backoff.
   std::uint64_t failed_attempts() const {
@@ -105,12 +105,14 @@ class AbdSupervisor {
         }
         if (now < down[node]->next_attempt) continue;
         if (cluster_.recover(node)) {
-          recoveries_.fetch_add(1, std::memory_order_relaxed);
           const auto latency = Clock::now() - down[node]->detected;
           {
             std::lock_guard lock(latency_mu_);
             latencies_.push_back(latency);
           }
+          // Counted after the latency is recorded, so a caller that sees
+          // the count also sees the latency (acquire in recoveries()).
+          recoveries_.fetch_add(1, std::memory_order_release);
           down[node].reset();
         } else {
           failed_attempts_.fetch_add(1, std::memory_order_relaxed);

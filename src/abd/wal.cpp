@@ -205,10 +205,7 @@ bool ReplicaWal::fail_append_locked(int error_no) {
   return false;
 }
 
-bool ReplicaWal::append_record(std::uint16_t type, std::uint64_t reg,
-                               std::uint64_t ts,
-                               const net::wire::Bytes& value) {
-  const auto rec = encode_record(type, reg, ts, value);
+bool ReplicaWal::append_bytes(const std::vector<std::uint8_t>& rec) {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return fail_append_locked(EBADF);
   if (inject_count_ > 0) {
@@ -241,11 +238,20 @@ void ReplicaWal::inject_append_failure(int error_no, int count,
 
 bool ReplicaWal::append_write(std::uint64_t reg, std::uint64_t ts,
                               const net::wire::Bytes& value) {
-  return append_record(kRecWrite, reg, ts, value);
+  return append_bytes(encode_record(kRecWrite, reg, ts, value));
+}
+
+bool ReplicaWal::append_writes(const std::vector<net::wire::Entry>& writes) {
+  std::vector<std::uint8_t> records;
+  for (const net::wire::Entry& e : writes) {
+    const auto rec = encode_record(kRecWrite, e.reg, e.ts, e.value);
+    records.insert(records.end(), rec.begin(), rec.end());
+  }
+  return append_bytes(records);
 }
 
 bool ReplicaWal::append_epoch(std::uint64_t epoch) {
-  return append_record(kRecEpoch, epoch, 0, {});
+  return append_bytes(encode_record(kRecEpoch, epoch, 0, {}));
 }
 
 bool ReplicaWal::compact(const WalState& state) {

@@ -2,7 +2,8 @@
 //
 // A tools/abd_replicad daemon appends one record per accepted WRITE and one
 // per incarnation bump, fsync()ing BEFORE the network ack leaves the
-// process. Combined with majority quorums this yields the durability
+// process (a batched WRITE appends its records with one write() and one
+// fsync). Combined with majority quorums this yields the durability
 // argument of DESIGN.md §11: an acknowledged write is fsynced on a majority
 // of replicas, every read quorum intersects that majority, so the write
 // survives kill -9 of any subset of replicas — including, unlike the
@@ -29,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "net/wire.hpp"
 
@@ -73,6 +75,11 @@ class ReplicaWal {
   bool append_write(std::uint64_t reg, std::uint64_t ts,
                     const net::wire::Bytes& value);
 
+  /// Durably record a batch of writes (one record each, reg/ts/value of
+  /// every entry) with one write() and one fsync: all or none of them.
+  /// Must return true before the batched WRITE is acked.
+  bool append_writes(const std::vector<net::wire::Entry>& writes);
+
   /// Durably record a new incarnation. Must return true before the daemon
   /// starts serving under that epoch.
   bool append_epoch(std::uint64_t epoch);
@@ -101,8 +108,8 @@ class ReplicaWal {
  private:
   ReplicaWal(std::string path, int fd, bool fsync, std::uint64_t bytes);
 
-  bool append_record(std::uint16_t type, std::uint64_t reg, std::uint64_t ts,
-                     const net::wire::Bytes& value);
+  /// Append already-encoded records, then fsync; rolls back on failure.
+  bool append_bytes(const std::vector<std::uint8_t>& records);
   bool fail_append_locked(int error_no);
 
   const std::string path_;

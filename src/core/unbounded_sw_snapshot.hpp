@@ -20,7 +20,9 @@
 // The register array is a template parameter so the identical algorithm runs
 // over in-memory registers (reg::SharedMemoryRegisterArray) or over the
 // ABD message-passing emulation (abd::AbdRegisterArray), realizing the
-// Section 6 remark about message-passing snapshots.
+// Section 6 remark about message-passing snapshots. An array may batch a
+// whole collect (abd::AbdRegisterArray does, in one quorum round); the
+// double collect above it is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -97,12 +99,19 @@ class UnboundedSwSnapshot {
     WellFormednessFlag busy;
   };
 
+  /// One collect: n register reads, or the array's own batched collect
+  /// when it has one (reg::SwmrRegisterArray documents its contract).
   void collect(ProcessId reader, std::vector<Record>& out) {
-    const std::size_t n = size();
-    out.clear();
-    out.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      out.push_back(regs_.read(static_cast<ProcessId>(j), reader));
+    if constexpr (requires { regs_.collect(reader, out); }) {
+      regs_.collect(reader, out);
+      ASNAP_ASSERT(out.size() == size());
+    } else {
+      const std::size_t n = size();
+      out.clear();
+      out.reserve(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        out.push_back(regs_.read(static_cast<ProcessId>(j), reader));
+      }
     }
   }
 

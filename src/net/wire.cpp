@@ -57,11 +57,61 @@ const std::array<std::uint32_t, 256>& crc_table() {
   return table;
 }
 
+/// The value section of a batch frame: the packed entry list.
+Bytes encode_entries(const std::vector<Entry>& entries) {
+  std::size_t len = 4;
+  for (const Entry& e : entries) len += kEntryHeaderBytes + e.value.size();
+  Bytes out;
+  out.reserve(len);
+  put_u32(out, static_cast<std::uint32_t>(entries.size()));
+  for (const Entry& e : entries) {
+    put_u64(out, e.reg);
+    put_u64(out, e.ts);
+    put_u16(out, e.flags);
+    put_u32(out, static_cast<std::uint32_t>(e.value.size()));
+    out.insert(out.end(), e.value.begin(), e.value.end());
+  }
+  return out;
+}
+
+/// Parse a batch frame's value section [p, p + len) into `out`. Checks
+/// every length against the bytes left before touching them.
+DecodeError decode_entries(const std::uint8_t* p, std::size_t len,
+                           std::vector<Entry>& out) {
+  if (len < 4) return DecodeError::kBatchTruncated;
+  const std::uint32_t count = get_u32(p);
+  if (count > kMaxBatchEntries) return DecodeError::kBatchTooLarge;
+  std::size_t left = len - 4;
+  if (static_cast<std::size_t>(count) * kEntryHeaderBytes > left) {
+    return DecodeError::kBatchCountOverrun;
+  }
+  p += 4;
+  out.resize(count);
+  for (Entry& e : out) {
+    if (left < kEntryHeaderBytes) return DecodeError::kBatchTruncated;
+    e.reg = get_u64(p);
+    e.ts = get_u64(p + 8);
+    e.flags = static_cast<std::uint16_t>(
+        p[16] | (static_cast<std::uint16_t>(p[17]) << 8));
+    const std::uint32_t value_len = get_u32(p + 18);
+    p += kEntryHeaderBytes;
+    left -= kEntryHeaderBytes;
+    if (value_len > left) return DecodeError::kBatchTruncated;
+    e.value.assign(p, p + value_len);
+    p += value_len;
+    left -= value_len;
+  }
+  return left == 0 ? DecodeError::kNone : DecodeError::kLengthMismatch;
+}
+
 }  // namespace
 
 Bytes encode(const Frame& frame) {
+  const Bytes packed =
+      is_batch(frame) ? encode_entries(frame.entries) : Bytes{};
+  const Bytes& value = is_batch(frame) ? packed : frame.value;
   const std::uint32_t body_len =
-      static_cast<std::uint32_t>(kHeaderBytes + frame.value.size());
+      static_cast<std::uint32_t>(kHeaderBytes + value.size());
   Bytes out;
   out.reserve(4 + body_len);
   put_u32(out, body_len);
@@ -75,8 +125,8 @@ Bytes encode(const Frame& frame) {
   put_u64(out, frame.epoch);
   put_u64(out, frame.reg);
   put_u64(out, frame.ts);
-  put_u32(out, static_cast<std::uint32_t>(frame.value.size()));
-  out.insert(out.end(), frame.value.begin(), frame.value.end());
+  put_u32(out, static_cast<std::uint32_t>(value.size()));
+  out.insert(out.end(), value.begin(), value.end());
   return out;
 }
 
@@ -89,6 +139,11 @@ const char* decode_error_name(DecodeError error) {
     case DecodeError::kBadVersion: return "unknown wire version";
     case DecodeError::kLengthMismatch:
       return "value length disagrees with frame length";
+    case DecodeError::kBatchTruncated:
+      return "batch entry runs past the frame";
+    case DecodeError::kBatchCountOverrun:
+      return "batch count exceeds the frame";
+    case DecodeError::kBatchTooLarge: return "batch exceeds kMaxBatchEntries";
   }
   return "unknown decode error";
 }
@@ -119,6 +174,12 @@ std::optional<Frame> decode(const std::uint8_t* body, std::size_t len,
   const std::uint32_t value_len = get_u32(body + 48);
   if (kHeaderBytes + static_cast<std::size_t>(value_len) != len) {
     return fail(error, DecodeError::kLengthMismatch);
+  }
+  if (is_batch(f)) {
+    const DecodeError why =
+        decode_entries(body + kHeaderBytes, value_len, f.entries);
+    if (why != DecodeError::kNone) return fail(error, why);
+    return f;
   }
   f.value.assign(body + kHeaderBytes, body + kHeaderBytes + value_len);
   return f;

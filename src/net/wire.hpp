@@ -31,6 +31,21 @@
 // frames — their zero reserved bytes read back as "no flags", which is the
 // safe, conservative meaning — so mixed-version clusters only lose fast
 // reads, never correctness.
+//
+// v3 adds batches: a frame with kFlagBatch set carries, in place of the
+// value bytes, a packed list of register entries
+//
+//   entries := u32 count | count x entry          (count <= kMaxBatchEntries)
+//   entry   := u64 reg | u64 ts | u16 flags | u32 value_len | value bytes
+//
+// and its header reg/ts fields are unused (0). One batched read request
+// names k registers and its reply carries the k (ts, flags, value) triples
+// in the same order; a batched write or confirm carries k (reg, ts[,
+// value]) pairs. The whole frame stays bounded by kMaxBody. A v3 decoder
+// still accepts v1 and v2 frames, and a daemon answers each request in
+// the request's own version and shape. A v2 daemon rejects v3 frames (an
+// unknown version closes the connection), so daemons are upgraded before
+// clients (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -44,7 +59,7 @@
 namespace asnap::net::wire {
 
 inline constexpr std::uint32_t kMagic = 0x50414E53;  // "SNAP" little-endian
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Oldest version this decoder still accepts (v1 = pre-flags; decoded with
 /// flags = 0, i.e. nothing confirmed).
 inline constexpr std::uint8_t kMinWireVersion = 1;
@@ -53,6 +68,10 @@ inline constexpr std::size_t kHeaderBytes = 4 + 1 + 1 + 2 + 8 * 5 + 4;
 /// Upper bound on one frame body: rejects corrupt length prefixes before
 /// they become allocation bombs.
 inline constexpr std::uint32_t kMaxBody = 1u << 20;
+/// Fixed bytes of one batch entry, excluding its value payload.
+inline constexpr std::size_t kEntryHeaderBytes = 8 + 8 + 2 + 4;
+/// Upper bound on the entries of one batch frame.
+inline constexpr std::uint32_t kMaxBatchEntries = 4096;
 
 /// Protocol message discriminators. 1..4 mirror abd::MsgType so a trace of
 /// either cluster reads the same; 5/6 are the socket transport's liveness
@@ -73,8 +92,20 @@ enum Type : std::uint8_t {
 /// the reported `ts` is majority-acked (its confirmed ts >= its stored ts),
 /// so a reader adopting this (ts, value) may skip the write-back round.
 inline constexpr std::uint16_t kFlagTsConfirmed = 1u << 0;
+/// Frame::flags bit 1, v3 only: the frame carries Frame::entries (a batch)
+/// instead of reg/ts/value.
+inline constexpr std::uint16_t kFlagBatch = 1u << 1;
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// One register of a batch frame. `flags` is kFlagTsConfirmed on read
+/// replies, 0 elsewhere.
+struct Entry {
+  std::uint64_t reg = 0;
+  std::uint64_t ts = 0;
+  std::uint16_t flags = 0;
+  Bytes value;
+};
 
 struct Frame {
   std::uint8_t version = kWireVersion;
@@ -86,7 +117,13 @@ struct Frame {
   std::uint64_t reg = 0;    ///< register index
   std::uint64_t ts = 0;     ///< ABD timestamp
   Bytes value;
+  std::vector<Entry> entries;  ///< kFlagBatch frames only (v3)
 };
+
+/// True when `frame` is a v3 batch (its registers are in `entries`).
+inline bool is_batch(const Frame& frame) {
+  return frame.version >= 3 && (frame.flags & kFlagBatch) != 0;
+}
 
 /// Serialize including the u32 length prefix, ready for send().
 Bytes encode(const Frame& frame);
@@ -102,6 +139,9 @@ enum class DecodeError : std::uint8_t {
   kBadMagic,        ///< first four bytes are not 'SNAP'
   kBadVersion,      ///< version byte this decoder does not know
   kLengthMismatch,  ///< declared value_len disagrees with the body length
+  kBatchTruncated,  ///< an entry list or entry runs past the end of the body
+  kBatchCountOverrun,  ///< count needs more bytes than the body holds
+  kBatchTooLarge,      ///< count above kMaxBatchEntries
 };
 
 /// Stable human-readable reason ("bad magic", ...) for a DecodeError.

@@ -12,6 +12,16 @@
 //   - abd::AbdRegisterArray: the same interface implemented by majority
 //     quorums over a simulated message-passing network (Section 6's remark
 //     that applying the ABD emulation yields message-passing snapshots).
+//
+// Optional member: `void collect(ProcessId reader, std::vector<Rec>& out)`.
+// When an array has it, core::UnboundedSwSnapshot calls it for a whole
+// collect instead of n reads (dispatched at compile time, so arrays without
+// it compile to the plain loop). Contract: afterwards out.size() == size()
+// and out[j] equals what a read of register j by `reader` could return if
+// that read were linearized at some point inside the call's interval —
+// n reads that may overlap each other, but none outside the call.
+// abd::AbdRegisterArray and abd::SocketRegisterArray implement it with one
+// batched quorum round (plus at most one batched write-back).
 #pragma once
 
 #include <concepts>

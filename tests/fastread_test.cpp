@@ -12,8 +12,15 @@
 //     same schedule and the exact single-writer checker MUST reject the
 //     resulting history — if this test fails, the checker lost its teeth.
 //
-// Satellite: recovery resync must never manufacture stability evidence — a
-// resynced replica knows the value, not that a majority does.
+// Batched collects get the same three layers: quiescent round-count pins
+// (a Figure 2 scan is two rounds, an update three), a partial-stability
+// boundary where only the unstable register of a batch is written back,
+// and its mutant — the whole batch skipping write-back — which the checker
+// must reject.
+//
+// Recovery resync must never manufacture stability evidence — a resynced
+// replica knows the value, not that a majority does — and it costs one
+// round however many registers the node holds.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -192,6 +199,152 @@ TEST(FastRead, UnconditionalSkipMutantIsRejectedByChecker) {
          "the fast-read safety net is gone";
   EXPECT_EQ(r.fast_reads, 2u);
   EXPECT_EQ(r.fast_fallbacks, 0u);
+}
+
+// --- batched collects ----------------------------------------------------------
+
+// With no concurrent writers every register of a collect is unanimous or
+// confirmed, so a Figure 2 scan (two collects) is two quorum rounds and an
+// update (embedded scan + write) three — for any n, not 2n and 2n+1.
+TEST(FastRead, QuiescentScanIsTwoRoundsAndUpdateThree) {
+  constexpr std::size_t kN = 3;
+  MessagePassingSnapshot<Tag> snap(kN, Tag{}, /*seed=*/8, fast_config());
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    const auto pid = static_cast<ProcessId>(k % kN);
+    std::uint64_t rounds = snap.protocol_rounds();
+    const std::uint64_t fallbacks = snap.fast_fallbacks();
+    snap.scan(pid);
+    EXPECT_EQ(snap.protocol_rounds() - rounds, 2u) << "scan " << k;
+    EXPECT_EQ(snap.fast_fallbacks(), fallbacks) << "scan " << k;
+    rounds = snap.protocol_rounds();
+    snap.update(pid, Tag{pid, k});
+    EXPECT_EQ(snap.protocol_rounds() - rounds, 3u) << "update " << k;
+    EXPECT_EQ(snap.fast_fallbacks(), fallbacks) << "update " << k;
+  }
+}
+
+/// Two registers, three nodes, one batched collect that sees register 0
+/// stable and register 1 carrying a partial write:
+///   1. reg 0 := A0 everywhere, then A1 on {0, 1} only (the writer is cut
+///      from replica 2; the confirm reaches 0 and 1);
+///   2. reg 1 := B reaches replica 1 only and times out (indeterminate);
+///   3. node 2 collects through quorum {1, 2}: reg 0 is confirmed at A1,
+///      reg 1 disagrees (B vs initial) with no confirmation;
+///   4. node 0 collects through quorum {0, 2}.
+/// With the real rule step 3 writes back reg 1 alone, so step 4 sees B.
+/// With the mutant step 3 writes back nothing and step 4 returns the
+/// initial value of reg 1 after step 3 returned B.
+struct BatchScheduleResult {
+  std::optional<lin::CheckResult> violation;  // nullopt = setup failed
+  std::uint64_t collect_rounds = 0;           // rounds of step 3
+  std::uint64_t fast_reads = 0;               // of step 3
+  std::uint64_t fast_fallbacks = 0;           // of step 3
+  std::uint64_t replica2_ts[2] = {0, 0};      // after step 3
+  std::vector<Tag> view1;
+  std::vector<Tag> view2;
+};
+
+BatchScheduleResult run_partial_stability_schedule(const AbdConfig& config) {
+  const Tag a0{0, 1};
+  const Tag a1{0, 2};
+  const Tag b{1, 1};
+  AbdCluster<Tag> cluster(3, 2, Tag{}, /*seed=*/10, config);
+  lin::Recorder recorder(2);
+  BatchScheduleResult out;
+
+  auto write = [&](std::size_t reg, net::NodeId writer, Tag tag) {
+    const lin::Time inv = recorder.tick();
+    if (cluster.try_write(reg, writer, tag) != OpStatus::kOk) return false;
+    recorder.add_update(writer, reg, tag, inv, recorder.tick());
+    return true;
+  };
+  auto collect = [&](net::NodeId reader, std::vector<Tag>& view) {
+    const lin::Time inv = recorder.tick();
+    if (!cluster.try_collect(reader, view)) return false;
+    recorder.add_scan(reader, view, inv, recorder.tick());
+    return true;
+  };
+
+  if (!write(0, 0, a0)) return out;
+  cluster.cut_link(0, 2);
+  if (!write(0, 0, a1)) return out;
+  cluster.restore_link(0, 2);
+
+  cluster.cut_link(1, 0);
+  cluster.cut_link(1, 2);
+  const lin::Time b_inv = recorder.tick();
+  if (cluster.try_write(1, 1, b) == OpStatus::kOk) return out;
+
+  cluster.restore_link(1, 0);
+  cluster.restore_link(1, 2);
+  cluster.cut_link(0, 2);
+  const std::uint64_t rounds = cluster.protocol_rounds();
+  const std::uint64_t fast = cluster.fast_reads();
+  const std::uint64_t fallbacks = cluster.fast_fallbacks();
+  if (!collect(2, out.view1)) return out;
+  out.collect_rounds = cluster.protocol_rounds() - rounds;
+  out.fast_reads = cluster.fast_reads() - fast;
+  out.fast_fallbacks = cluster.fast_fallbacks() - fallbacks;
+  out.replica2_ts[0] = cluster.replica_ts(2, 0);
+  out.replica2_ts[1] = cluster.replica_ts(2, 1);
+
+  cluster.restore_link(0, 2);
+  cluster.cut_link(1, 0);
+  cluster.cut_link(1, 2);
+  if (!collect(0, out.view2)) return out;
+
+  // B is indeterminate: possibly applied any time up to now.
+  recorder.add_update(1, 1, b, b_inv, recorder.tick());
+  out.violation = lin::check_single_writer(recorder.take());
+  return out;
+}
+
+TEST(FastRead, BatchWritesBackOnlyTheUnstableRegister) {
+  const BatchScheduleResult r = run_partial_stability_schedule(fast_config());
+  ASSERT_TRUE(r.violation.has_value()) << "schedule setup failed";
+  EXPECT_FALSE(r.violation->has_value()) << **r.violation;
+  EXPECT_EQ(r.fast_reads, 1u) << "register 0 is confirmed: no write-back";
+  EXPECT_EQ(r.fast_fallbacks, 1u) << "register 1 disagrees: write-back";
+  EXPECT_EQ(r.collect_rounds, 2u) << "one query round + one write-back round";
+  EXPECT_EQ(r.replica2_ts[0], 1u)
+      << "the stable register was written back to replica 2";
+  EXPECT_EQ(r.replica2_ts[1], 1u)
+      << "the unstable register was not written back to replica 2";
+  EXPECT_EQ(r.view1, (std::vector<Tag>{Tag{0, 2}, Tag{1, 1}}));
+  EXPECT_EQ(r.view2, (std::vector<Tag>{Tag{0, 2}, Tag{1, 1}}));
+}
+
+// THE BATCH MUTANT: unsafe_always_fast_read on a batched collect skips the
+// write-back for the whole batch although only one triple is stable. The
+// exact checker must reject the new/old inversion that follows.
+TEST(FastRead, WholeBatchSkipMutantIsRejectedByChecker) {
+  AbdConfig config = fast_config();
+  config.unsafe_always_fast_read = true;
+  const BatchScheduleResult r = run_partial_stability_schedule(config);
+  ASSERT_TRUE(r.violation.has_value()) << "schedule setup failed";
+  EXPECT_EQ(r.fast_reads, 2u);
+  EXPECT_EQ(r.collect_rounds, 1u) << "the mutant writes nothing back";
+  EXPECT_EQ(r.replica2_ts[1], 0u);
+  EXPECT_EQ(r.view1, (std::vector<Tag>{Tag{0, 2}, Tag{1, 1}}));
+  EXPECT_EQ(r.view2, (std::vector<Tag>{Tag{0, 2}, Tag{}}));
+  EXPECT_TRUE(r.violation->has_value())
+      << "checker FAILED to reject the whole-batch write-back skip";
+}
+
+TEST(FastRead, RecoveryResyncIsOneRoundForAllRegisters) {
+  constexpr std::size_t kRegs = 4;
+  AbdCluster<int> cluster(3, kRegs, 0, /*seed=*/9, fast_config());
+  cluster.crash(2);
+  for (std::size_t reg = 0; reg < kRegs; ++reg) {
+    cluster.write(reg, 0, static_cast<int>(10 + reg));
+  }
+  const std::uint64_t rounds = cluster.protocol_rounds();
+  ASSERT_TRUE(cluster.recover(2));
+  EXPECT_EQ(cluster.protocol_rounds() - rounds, 1u)
+      << "resync of " << kRegs << " registers is one batched query round";
+  for (std::size_t reg = 0; reg < kRegs; ++reg) {
+    EXPECT_EQ(cluster.replica_ts(2, reg), 1u) << "register " << reg;
+  }
 }
 
 // --- recovery resync must not manufacture evidence (satellite 3) -------------

@@ -158,6 +158,183 @@ TEST(WireFuzz, EveryDecodeErrorVariantIsProducible) {
   EXPECT_EQ(text, "bad magic");
 }
 
+// --- wire v3 batches ---------------------------------------------------------
+
+Frame random_batch(Rng& rng) {
+  Frame f;
+  f.type = static_cast<std::uint8_t>(1 + rng.below(4));
+  f.flags = net::wire::kFlagBatch;
+  f.from = rng.next();
+  f.rid = rng.next();
+  f.epoch = rng.next();
+  f.entries.resize(rng.below(8));
+  for (net::wire::Entry& e : f.entries) {
+    e.reg = rng.next();
+    e.ts = rng.next();
+    e.flags = static_cast<std::uint16_t>(rng.below(2));
+    e.value.resize(rng.below(32));
+    for (auto& b : e.value) b = static_cast<std::uint8_t>(rng.below(256));
+  }
+  return f;
+}
+
+/// The body (length prefix stripped) of `frame`.
+Bytes body_of(const Frame& frame) {
+  const Bytes buf = net::wire::encode(frame);
+  return Bytes(buf.begin() + 4, buf.end());
+}
+
+/// A batch frame body whose entry list is replaced by `list`.
+Bytes batch_body_with_list(const Bytes& list) {
+  Frame f;
+  f.type = net::wire::kReadReply;
+  f.value = list;  // a v2-shaped frame carries `list` verbatim as its value
+  Bytes body = body_of(f);
+  body[6] = static_cast<std::uint8_t>(net::wire::kFlagBatch);
+  return body;
+}
+
+void put_le(Bytes& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+TEST(WireFuzz, BatchFramesRoundTripEveryEntry) {
+  Rng rng(0xBA7C4ull);
+  for (int iter = 0; iter < 200; ++iter) {
+    const Frame in = random_batch(rng);
+    DecodeError error = DecodeError::kNone;
+    const auto out = decode_exact(body_of(in), &error);
+    ASSERT_TRUE(out.has_value()) << net::wire::decode_error_name(error);
+    EXPECT_EQ(out->version, 3);
+    EXPECT_TRUE(net::wire::is_batch(*out));
+    EXPECT_EQ(out->type, in.type);
+    EXPECT_EQ(out->rid, in.rid);
+    EXPECT_TRUE(out->value.empty());
+    ASSERT_EQ(out->entries.size(), in.entries.size());
+    for (std::size_t i = 0; i < in.entries.size(); ++i) {
+      EXPECT_EQ(out->entries[i].reg, in.entries[i].reg);
+      EXPECT_EQ(out->entries[i].ts, in.entries[i].ts);
+      EXPECT_EQ(out->entries[i].flags, in.entries[i].flags);
+      EXPECT_EQ(out->entries[i].value, in.entries[i].value);
+    }
+  }
+}
+
+TEST(WireFuzz, MalformedBatchesFailTyped) {
+  DecodeError error = DecodeError::kNone;
+  // Truncated entry lists: no room for the count, an entry header cut
+  // short, an entry value running past the end.
+  EXPECT_FALSE(decode_exact(batch_body_with_list({1, 0}), &error));
+  EXPECT_EQ(error, DecodeError::kBatchTruncated);
+  Bytes one_entry;
+  put_le(one_entry, 1, 4);  // count
+  put_le(one_entry, 7, 8);  // reg
+  put_le(one_entry, 9, 8);  // ts
+  put_le(one_entry, 0, 2);  // flags
+  put_le(one_entry, 5, 4);  // value_len
+  Bytes cut_value = one_entry;
+  cut_value.insert(cut_value.end(), {1, 2, 3});  // 3 of the 5 value bytes
+  EXPECT_FALSE(decode_exact(batch_body_with_list(cut_value), &error));
+  EXPECT_EQ(error, DecodeError::kBatchTruncated);
+  Bytes two_entries = cut_value;
+  two_entries.insert(two_entries.end(), {4, 5});
+  two_entries[0] = 2;  // the second entry's header is missing entirely
+  EXPECT_FALSE(decode_exact(batch_body_with_list(two_entries), &error));
+  EXPECT_EQ(error, DecodeError::kBatchCountOverrun);
+
+  // A count past the body is refused before anything is allocated for it.
+  Bytes overrun;
+  put_le(overrun, net::wire::kMaxBatchEntries, 4);
+  EXPECT_FALSE(decode_exact(batch_body_with_list(overrun), &error));
+  EXPECT_EQ(error, DecodeError::kBatchCountOverrun);
+
+  // Oversized batches: a count above the bound, whatever follows.
+  Bytes too_many;
+  put_le(too_many, net::wire::kMaxBatchEntries + 1, 4);
+  EXPECT_FALSE(decode_exact(batch_body_with_list(too_many), &error));
+  EXPECT_EQ(error, DecodeError::kBatchTooLarge);
+  Bytes huge;
+  put_le(huge, 0xFFFFFFFFull, 4);
+  EXPECT_FALSE(decode_exact(batch_body_with_list(huge), &error));
+  EXPECT_EQ(error, DecodeError::kBatchTooLarge);
+
+  // Bytes after the last entry disagree with the frame length.
+  Bytes trailing = cut_value;
+  trailing.insert(trailing.end(), {4, 5, 6});
+  EXPECT_TRUE(decode_exact(batch_body_with_list(Bytes(trailing.begin(),
+                                                      trailing.end() - 1)),
+                           &error));
+  EXPECT_FALSE(decode_exact(batch_body_with_list(trailing), &error));
+  EXPECT_EQ(error, DecodeError::kLengthMismatch);
+}
+
+TEST(WireFuzz, MutatedBatchFramesParseOrFailTyped) {
+  Rng rng(0xBA7C5ull);
+  for (int iter = 0; iter < 2000; ++iter) {
+    Bytes body = body_of(random_batch(rng));
+    const std::size_t list_at = net::wire::kHeaderBytes;
+    switch (rng.below(4)) {
+      case 0:  // truncate, keeping the header's value_len
+        body.resize(rng.below(body.size() + 1));
+        break;
+      case 1:  // flip bytes inside the entry list
+        for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i) {
+          body[list_at + rng.below(body.size() - list_at)] ^=
+              static_cast<std::uint8_t>(1 + rng.below(255));
+        }
+        break;
+      case 2: {  // rewrite the count
+        const std::uint64_t count = rng.next();
+        for (int i = 0; i < 4; ++i) {
+          body[list_at + i] = static_cast<std::uint8_t>(count >> (8 * i));
+        }
+        break;
+      }
+      default:  // pristine
+        break;
+    }
+    DecodeError error = DecodeError::kNone;
+    const auto out = decode_exact(body, &error);
+    if (out.has_value()) {
+      EXPECT_EQ(error, DecodeError::kNone);
+      EXPECT_LE(out->entries.size(), body.size() / net::wire::kEntryHeaderBytes);
+    } else {
+      EXPECT_NE(error, DecodeError::kNone);
+      EXPECT_STRNE(net::wire::decode_error_name(error), "unknown decode error");
+    }
+  }
+}
+
+// Daemons decode every older version, and a v1/v2 frame keeps its shape:
+// the batch bit means nothing before v3, so such a frame's value stays
+// opaque bytes.
+TEST(WireFuzz, V1AndV2FramesStillRoundTrip) {
+  for (std::uint8_t version : {1, 2}) {
+    Frame in;
+    in.version = version;
+    in.type = net::wire::kReadReply;
+    in.flags = net::wire::kFlagTsConfirmed | net::wire::kFlagBatch;
+    in.from = 5;
+    in.rid = 6;
+    in.epoch = 7;
+    in.reg = 8;
+    in.ts = 9;
+    in.value = {1, 2, 3};
+    DecodeError error = DecodeError::kNone;
+    const auto out = decode_exact(body_of(in), &error);
+    ASSERT_TRUE(out.has_value()) << net::wire::decode_error_name(error);
+    EXPECT_EQ(out->version, version);
+    EXPECT_FALSE(net::wire::is_batch(*out));
+    EXPECT_EQ(out->flags, version == 1 ? 0 : in.flags);
+    EXPECT_EQ(out->reg, in.reg);
+    EXPECT_EQ(out->ts, in.ts);
+    EXPECT_EQ(out->value, in.value);
+    EXPECT_TRUE(out->entries.empty());
+  }
+}
+
 // --- recv_frame stream discipline -------------------------------------------
 
 /// A connected AF_UNIX pair: write raw bytes into one end, recv_frame from

@@ -35,7 +35,9 @@ class FakeTransport {
     reply.from = to;
     reply.type = request.type == kReadReq ? kReadReply : kWriteAck;
     reply.rid = request.rid;
-    reply.payload = Reply<int>{};
+    Reply<int> answer;
+    if (request.type == kReadReq) answer.entries = request.entries;
+    reply.payload = std::move(answer);
     if (duplicate_) inbox_.push(reply);
     inbox_.push(std::move(reply));
   }

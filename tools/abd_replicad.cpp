@@ -4,8 +4,13 @@
 // replica thread: it keeps a timestamped copy of every register, answers
 // READ with its (ts, value, epoch) and applies WRITE iff the timestamp is
 // newer — always acking, so client retransmissions and duplicate delivery
-// are harmless (idempotence). Two things the in-process replica never
-// needed, because its "crashes" were simulated:
+// are harmless (idempotence). A v3 batch frame (wire.hpp) does the same for
+// each of its entries: a batched READ answers every register under one
+// store lock, a batched WRITE is logged with one WAL append and one fsync
+// before its single ack. Each request is answered in its own wire version
+// and shape, so v1/v2 clients keep working against a v3 daemon. Two things
+// the in-process replica never needed, because its "crashes" were
+// simulated:
 //
 //   * DURABILITY: every accepted write and every incarnation bump is
 //     appended + fsync()ed to a write-ahead log BEFORE the ack leaves the
@@ -19,10 +24,10 @@
 // after replaying its WAL — a replica restored from its log is merely
 // stale, which ABD tolerates by construction (read quorums intersect the
 // majority that acked any write) — and then a background resync thread
-// quorum-reads registers 0..regs-1 through the normal client machinery and
-// adopts anything newer, restoring full f-tolerance. Serving first avoids
-// the bootstrap deadlock where all replicas of a cold cluster wait on each
-// other's majority.
+// quorum-queries registers 0..regs-1 (one batched round) through the
+// normal client machinery and adopts anything newer, restoring full
+// f-tolerance. Serving first avoids the bootstrap deadlock where all
+// replicas of a cold cluster wait on each other's majority.
 //
 // Usage:
 //   abd_replicad --id I --peers host:port,... --state-dir DIR
@@ -33,6 +38,7 @@
 // "READY port=<p> epoch=<e>" on stdout once accepting.
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -44,6 +50,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "abd/remote_client.hpp"
@@ -109,42 +116,63 @@ struct Store {
   std::unordered_map<std::uint64_t, std::uint64_t> confirmed;
   static constexpr std::uint64_t kCompactBytes = 8ull << 20;
 
-  /// Apply WRITE(reg, ts, value): durably log iff it advances the replica.
-  /// Returns false only on an I/O failure (the caller must NOT ack then —
-  /// an acked write has to be on disk).
-  bool apply_write(std::uint64_t reg, std::uint64_t ts,
-                   const net::wire::Bytes& value) {
+  /// Apply WRITE(reg, ts, value) for every entry: the entries that advance
+  /// their register are logged with one WAL append (one fsync), then
+  /// installed. Returns false only on an I/O failure (the caller must NOT
+  /// ack then — an acked write has to be on disk).
+  bool apply_writes(std::vector<net::wire::Entry> writes) {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = state.regs.find(reg);
-    if (it != state.regs.end() && ts <= it->second.first) return true;
-    if (!wal->append_write(reg, ts, value)) return false;
-    state.regs[reg] = {ts, value};
+    std::erase_if(writes, [&](const net::wire::Entry& e) {
+      auto it = state.regs.find(e.reg);
+      return it != state.regs.end() && e.ts <= it->second.first;
+    });
+    if (writes.empty()) return true;
+    if (!wal->append_writes(writes)) return false;
+    for (net::wire::Entry& e : writes) {
+      auto [it, fresh] = state.regs.try_emplace(e.reg, e.ts, e.value);
+      if (!fresh && e.ts > it->second.first) {
+        it->second = {e.ts, std::move(e.value)};
+      }
+    }
     if (wal->bytes() > kCompactBytes) wal->compact(state);
     return true;
   }
 
-  /// READ(reg) -> (ts, value); (0, empty) when never written.
-  std::pair<std::uint64_t, net::wire::Bytes> read(std::uint64_t reg) {
+  /// READ of every entry's register: fills (ts, value, kFlagTsConfirmed);
+  /// (0, empty) when never written.
+  void read(std::vector<net::wire::Entry>& entries) {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = state.regs.find(reg);
-    if (it == state.regs.end()) return {0, {}};
-    return it->second;
+    for (net::wire::Entry& e : entries) {
+      auto it = state.regs.find(e.reg);
+      const bool known = it != state.regs.end();
+      e.ts = known ? it->second.first : 0;
+      e.value = known ? it->second.second : net::wire::Bytes{};
+      auto c = confirmed.find(e.reg);
+      e.flags = e.ts > 0 && c != confirmed.end() && c->second >= e.ts
+                    ? net::wire::kFlagTsConfirmed
+                    : 0;
+    }
   }
 
-  /// CONFIRM(reg, ts): ts is majority-acked; fold the maximum.
-  void apply_confirm(std::uint64_t reg, std::uint64_t ts) {
+  /// CONFIRM(reg, ts) for every entry: ts is majority-acked; fold the
+  /// maximum.
+  void apply_confirms(const std::vector<net::wire::Entry>& entries) {
     std::lock_guard<std::mutex> lock(mu);
-    auto& slot = confirmed[reg];
-    if (ts > slot) slot = ts;
-  }
-
-  /// Highest confirmed ts for reg (0 = nothing confirmed this incarnation).
-  std::uint64_t confirmed_ts(std::uint64_t reg) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = confirmed.find(reg);
-    return it == confirmed.end() ? 0 : it->second;
+    for (const net::wire::Entry& e : entries) {
+      auto& slot = confirmed[e.reg];
+      if (e.ts > slot) slot = e.ts;
+    }
   }
 };
+
+/// A request's registers: a batch frame's entries, or the one (reg, ts,
+/// value) of a v1/v2 frame.
+std::vector<net::wire::Entry> request_entries(net::wire::Frame& req) {
+  if (net::wire::is_batch(req)) return std::move(req.entries);
+  std::vector<net::wire::Entry> one(1);
+  one[0] = net::wire::Entry{req.reg, req.ts, 0, std::move(req.value)};
+  return one;
+}
 
 void serve_connection(std::size_t id, Store& store, net::Socket conn) {
   net::wire::Frame req;
@@ -154,23 +182,30 @@ void serve_connection(std::size_t id, Store& store, net::Socket conn) {
     if (status == net::RecvStatus::kTimeout) continue;  // idle, re-check stop
     if (status != net::RecvStatus::kOk) return;  // EOF / error / bad frame
     net::wire::Frame reply;
+    reply.version = req.version;  // answer in the request's version...
     reply.from = id;
     reply.rid = req.rid;
     reply.epoch = store.epoch;
     reply.reg = req.reg;
+    const bool batch = net::wire::is_batch(req);
+    if (batch) reply.flags = net::wire::kFlagBatch;  // ...and shape
     switch (req.type) {
       case net::wire::kReadReq: {
-        const auto [ts, value] = store.read(req.reg);
+        std::vector<net::wire::Entry> entries = request_entries(req);
+        store.read(entries);
         reply.type = net::wire::kReadReply;
-        reply.ts = ts;
-        reply.value = value;
-        if (ts > 0 && store.confirmed_ts(req.reg) >= ts) {
-          reply.flags |= net::wire::kFlagTsConfirmed;
+        if (batch) {
+          reply.entries = std::move(entries);
+        } else {
+          reply.ts = entries[0].ts;
+          reply.flags = entries[0].flags;
+          reply.value = std::move(entries[0].value);
         }
         break;
       }
       case net::wire::kWriteReq: {
-        if (!store.apply_write(req.reg, req.ts, req.value)) {
+        const std::uint64_t ts = req.ts;
+        if (!store.apply_writes(request_entries(req))) {
           // Classified so an operator can tell a full volume (free space,
           // daemon recovers) from a dying device; NEITHER is acked.
           std::fprintf(stderr, "replica %zu: WAL append failed (%s), dropping\n",
@@ -178,14 +213,14 @@ void serve_connection(std::size_t id, Store& store, net::Socket conn) {
           return;  // cannot ack what we couldn't persist
         }
         reply.type = net::wire::kWriteAck;
-        reply.ts = req.ts;
+        reply.ts = ts;
         break;
       }
       case net::wire::kPing:
         reply.type = net::wire::kPong;
         break;
       case net::wire::kConfirm:
-        store.apply_confirm(req.reg, req.ts);
+        store.apply_confirms(request_entries(req));
         continue;  // fire-and-forget: no reply frame
       default:
         continue;  // unknown type: ignore (forward compatibility)
@@ -194,16 +229,16 @@ void serve_connection(std::size_t id, Store& store, net::Socket conn) {
   }
 }
 
-/// Background resync: quorum-read each register through the engine's
-/// query-only round (including this daemon's own listener — the self reply
-/// counts toward the majority, as in AbdCluster::recover) and adopt
+/// Background resync: one query-only batched round over every register
+/// through the engine (including this daemon's own listener — the self
+/// reply counts toward the majority, as in AbdCluster::recover), adopting
 /// anything newer. Restores full f-tolerance after a restart; correctness
 /// never depended on it (see file header). The query does NO write-back,
-/// and the result is installed through apply_write, which deliberately
+/// and the result is installed through apply_writes, which deliberately
 /// does not touch Store::confirmed: a resync read skipping write-back has
 /// not stabilized anything, so the restarted replica must keep answering
 /// reads without kFlagTsConfirmed until a live writer/reader confirms
-/// again.
+/// again. More than kMaxBatchEntries registers take one round per chunk.
 void resync(std::size_t id, const Args& args, Store& store) {
   abd::AbdConfig config;
   config.initial_rto = std::chrono::microseconds(500);
@@ -212,16 +247,26 @@ void resync(std::size_t id, const Args& args, Store& store) {
   abd::RemoteRegisterClient client(args.peers, /*client_id=*/1000 + id,
                                    config);
   std::size_t synced = 0;
-  for (std::uint64_t reg = 0; reg < args.regs; ++reg) {
+  for (std::uint64_t first = 0; first < args.regs;
+       first += net::wire::kMaxBatchEntries) {
+    std::vector<std::uint64_t> regs;
+    const std::uint64_t end =
+        std::min<std::uint64_t>(args.regs, first + net::wire::kMaxBatchEntries);
+    for (std::uint64_t reg = first; reg < end; ++reg) regs.push_back(reg);
     for (int attempt = 0; attempt < 3; ++attempt) {
       if (g_stop.load(std::memory_order_acquire)) return;
-      const auto got = client.try_query(reg, client.majority());
+      const auto got = client.try_query(regs, client.majority());
       if (!got.has_value()) {
         std::this_thread::sleep_for(100ms);
         continue;
       }
-      if (got->ts > 0) store.apply_write(reg, got->ts, got->value);
-      ++synced;
+      std::vector<net::wire::Entry> newer;
+      for (std::size_t i = 0; i < regs.size(); ++i) {
+        const auto& [ts, value] = (*got)[i];
+        if (ts > 0) newer.push_back(net::wire::Entry{regs[i], ts, 0, value});
+      }
+      store.apply_writes(std::move(newer));
+      synced += regs.size();
       break;
     }
   }

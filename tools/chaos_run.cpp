@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -473,6 +474,17 @@ struct RealReport {
   bool ok() const { return run.ok(); }
 };
 
+/// The last `k` lines of a text file (fewer if it is shorter or missing).
+std::vector<std::string> last_lines(const std::string& path, std::size_t k) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(std::move(line));
+    if (lines.size() > k) lines.erase(lines.begin());
+  }
+  return lines;
+}
+
 std::vector<net::Endpoint> probe_free_endpoints(std::size_t n) {
   // Bind port 0, record the kernel's pick, release. The small window before
   // the daemons rebind is acceptable on a loopback test host.
@@ -605,7 +617,20 @@ int run_real(const Cli& cli, NetMode mode) {
   cluster_config.proxy_seed = cli.seed ^ 0xAD7E53EEDull;
   chaos::ProcessCluster cluster(cluster_config);
   if (!cluster.start() || !cluster.wait_ready(std::chrono::seconds(10))) {
-    return fail("setup: cluster did not come up");
+    // The daemon logs are the only evidence of why a replica never printed
+    // READY (a port taken between the probe and the bind, say): quote their
+    // tails and keep the state dir instead of deleting it.
+    std::string why =
+        "setup: cluster did not come up; state dir kept: " + state_dir;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string log =
+          state_dir + "/replica-" + std::to_string(i) + "/daemon.log";
+      why += "\n      " + log + ":";
+      for (const std::string& line : last_lines(log, 5)) {
+        why += "\n        | " + line;
+      }
+    }
+    return fail(why);
   }
   // Clients dial the proxy in net modes; the daemons peer directly.
   const std::vector<net::Endpoint> client_eps = cluster.client_endpoints();

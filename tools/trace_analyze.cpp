@@ -522,25 +522,21 @@ std::size_t report(const Analysis& a) {
                 static_cast<unsigned long long>(a.retransmits_per_round.max()));
   }
   if (a.fast_reads + a.fast_fallbacks != 0) {
-    // Round complexity of reads: a fast read is 1 round, a fallback is 2
-    // (query + write-back). Retransmit waves are NOT rounds and are
-    // reported above, per round.
+    // Per register read: fast reads skip the write-back, fallbacks join
+    // their batch's single write-back round. Rounds themselves are counted
+    // above (a batched collect is one query round for all its registers).
     const std::uint64_t reads = a.fast_reads + a.fast_fallbacks;
-    const double rounds_per_read =
-        static_cast<double>(a.fast_reads + 2 * a.fast_fallbacks) /
-        static_cast<double>(reads);
-    std::printf("\n== ABD read round complexity ==\n");
-    std::printf("reads: %llu  fast (1-round): %llu  fallback (2-round): %llu "
-                "(%llu ts-disagree, %llu stability-gap)\n",
+    std::printf("\n== ABD register reads ==\n");
+    std::printf("register reads: %llu  fast (no write-back): %llu  written "
+                "back: %llu (%llu ts-disagree, %llu stability-gap)\n",
                 static_cast<unsigned long long>(reads),
                 static_cast<unsigned long long>(a.fast_reads),
                 static_cast<unsigned long long>(a.fast_fallbacks),
                 static_cast<unsigned long long>(a.fast_fallback_disagree),
                 static_cast<unsigned long long>(a.fast_fallback_gap));
-    std::printf("fast-hit ratio: %.1f%%  rounds/read: %.2f\n",
+    std::printf("fast-hit ratio: %.1f%%\n",
                 100.0 * static_cast<double>(a.fast_reads) /
-                    static_cast<double>(reads),
-                rounds_per_read);
+                    static_cast<double>(reads));
   }
   if (a.fault_drops + a.fault_dups + a.fault_delays != 0) {
     std::printf("\n== fault injector ==\n");
