@@ -231,6 +231,7 @@ RunReport run(const OrchestratorOptions& opt) {
     workers_state.push_back(std::make_unique<WorkerState>());
   }
   std::atomic<bool> stop{false};
+  std::atomic<bool> injecting{true};
 
   // How many nodes are currently usable (alive and in the main partition
   // component); liveness can only be demanded of clients while at least a
@@ -319,7 +320,7 @@ RunReport run(const OrchestratorOptions& opt) {
       workers.emplace_back([&, p] {
         worker_loop(snap, recorder, *workers_state[p],
                     static_cast<ProcessId>(p),
-                    WorkerPacing{opt.op_retry_pause, {}}, stop);
+                    WorkerPacing{opt.op_retry_pause, {}}, stop, injecting);
       });
     }
 
@@ -382,7 +383,9 @@ RunReport run(const OrchestratorOptions& opt) {
     }
     std::this_thread::sleep_until(start + opt.duration);
 
-    // Injection over: heal the network and demand convergence.
+    // Injection over: stop timing ops, heal the network and demand
+    // convergence.
+    injecting.store(false, std::memory_order_relaxed);
     snap.heal();
     for (std::size_t p = 0; p < n; ++p) {
       isolated[p].store(false, std::memory_order_relaxed);

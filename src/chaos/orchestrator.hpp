@@ -104,8 +104,11 @@ struct RunReport {
   std::uint64_t indeterminate_updates = 0;  ///< unfinished at shutdown
   std::size_t history_ops = 0;
 
-  // Per-operation wall latency of SUCCESSFUL ops, nanoseconds; an update's
-  // latency spans all retries of its tag (availability view, not raw RTT).
+  // Per-operation wall latency of SUCCESSFUL ops invoked while faults were
+  // being injected, nanoseconds; an update's latency spans all retries of
+  // its tag (availability view, not raw RTT). Ops invoked after the driver
+  // healed the cluster (convergence, watchdog, healthy tail) are counted and
+  // checked but not timed: they would measure the healed cluster.
   trace::LogHistogram update_latency_ns;
   trace::LogHistogram scan_latency_ns;
 
@@ -168,7 +171,9 @@ struct WorkerPacing {
 
 /// Process p's checked workload against any snapshot with degraded-mode
 /// try_update(p, tag) -> bool and try_scan(p) -> optional<view>, until
-/// `stop`. Alternates updates and scans. Recording convention:
+/// `stop`. Alternates updates and scans. Latency is recorded only for ops
+/// invoked while `injecting` is set; the driver clears it when injection
+/// ends. Recording convention:
 ///   * an update retries the SAME tag until it lands: a timed-out attempt
 ///     is indeterminate, so the logical operation's interval spans every
 ///     attempt — one recorded op from the first invocation to the
@@ -179,7 +184,8 @@ struct WorkerPacing {
 template <typename Backend>
 void worker_loop(Backend& snap, lin::Recorder& recorder, WorkerState& ws,
                  ProcessId p, WorkerPacing pacing,
-                 const std::atomic<bool>& stop) {
+                 const std::atomic<bool>& stop,
+                 const std::atomic<bool>& injecting) {
   using Clock = std::chrono::steady_clock;
   const auto since = [](Clock::time_point t) {
     return static_cast<std::uint64_t>(
@@ -191,6 +197,7 @@ void worker_loop(Backend& snap, lin::Recorder& recorder, WorkerState& ws,
   while (!stop.load(std::memory_order_relaxed)) {
     const lin::Time inv = recorder.tick();
     const auto started = Clock::now();
+    const bool timed = injecting.load(std::memory_order_relaxed);
     ws.op_start_ns.store(now_ns(), std::memory_order_relaxed);
     if (op_count++ % 2 == 0) {
       const lin::Tag tag{p, ++seq};
@@ -206,7 +213,7 @@ void worker_loop(Backend& snap, lin::Recorder& recorder, WorkerState& ws,
         std::this_thread::sleep_for(pacing.retry_pause);
       }
       recorder.add_update(p, p, tag, inv, recorder.tick());
-      ws.update_hist.record(since(started));
+      if (timed) ws.update_hist.record(since(started));
       ws.updates_ok.fetch_add(1, std::memory_order_relaxed);
       ws.last_acked_seq.store(seq, std::memory_order_relaxed);
     } else {
@@ -218,7 +225,7 @@ void worker_loop(Backend& snap, lin::Recorder& recorder, WorkerState& ws,
         continue;
       }
       recorder.add_scan(p, std::move(*view), inv, recorder.tick());
-      ws.scan_hist.record(since(started));
+      if (timed) ws.scan_hist.record(since(started));
       ws.scans_ok.fetch_add(1, std::memory_order_relaxed);
     }
     ws.last_success_ns.store(now_ns(), std::memory_order_relaxed);

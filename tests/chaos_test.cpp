@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -65,6 +66,58 @@ TEST(ChaosOrchestrator, WatchdogIgnoresStampsLaterThanItsClock) {
   EXPECT_FALSE(chaos::past_stall_window(now, now, kWindow));
   EXPECT_FALSE(chaos::past_stall_window(now, now - kWindow, kWindow));
   EXPECT_TRUE(chaos::past_stall_window(now, now - kWindow - 1, kWindow));
+}
+
+// chaos::worker_loop times only the ops invoked while faults are being
+// injected; an op timed after the driver healed the cluster would describe
+// the healed cluster, not the faults. The backend here is slow until the
+// flag clears and fast afterwards, so a recorded latency under the slow
+// floor is a healed op that leaked into the histograms.
+TEST(ChaosOrchestrator, WorkersTimeOnlyOpsInvokedDuringInjection) {
+  static constexpr auto kSlow = 2ms;
+  struct PhasedBackend {
+    std::atomic<bool> slow{true};
+    void pause() const {
+      if (slow.load()) std::this_thread::sleep_for(kSlow);
+    }
+    bool try_update(ProcessId, Tag) {
+      pause();
+      return true;
+    }
+    std::optional<std::vector<Tag>> try_scan(ProcessId) {
+      pause();
+      return std::vector<Tag>(1);
+    }
+  } backend;
+  lin::Recorder recorder(/*num_words=*/1);
+  chaos::WorkerState ws;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> injecting{true};
+  std::thread worker([&] {
+    chaos::worker_loop(backend, recorder, ws, 0, chaos::WorkerPacing{}, stop,
+                       injecting);
+  });
+  const auto ops = [&] { return ws.updates_ok.load() + ws.scans_ok.load(); };
+  ASSERT_TRUE(eventually([&] { return ops() >= 10; }));
+  injecting.store(false);
+  // An op invoked before the clear still runs on the slow backend: turn it
+  // fast only once an op has both started and finished after the clear.
+  const std::uint64_t at_clear = ops();
+  ASSERT_TRUE(eventually([&] { return ops() >= at_clear + 2; }));
+  backend.slow.store(false);
+  const std::uint64_t at_fast = ops();
+  ASSERT_TRUE(eventually([&] { return ops() >= at_fast + 100; }));
+  stop.store(true);
+  worker.join();
+
+  const std::uint64_t timed = ws.update_hist.count() + ws.scan_hist.count();
+  EXPECT_GE(timed, 10u);
+  EXPECT_LT(timed, ops());  // healed ops are counted and checked, not timed
+  const auto floor_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kSlow).count());
+  EXPECT_GE(ws.update_hist.min(), floor_ns);
+  EXPECT_GE(ws.scan_hist.min(), floor_ns);
+  EXPECT_EQ(recorder.take().total_ops(), ops());
 }
 
 TEST(FailureDetector, SuspectsCrashedNodeThenRetrustsAfterRecovery) {

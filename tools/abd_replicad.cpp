@@ -30,12 +30,12 @@
 // replicas of a cold cluster wait on each other's majority.
 //
 // Usage:
-//   abd_replicad --id I --peers host:port,... --state-dir DIR
-//                [--regs N] [--no-fsync] [--no-resync]
+//   abd_replicad --id I --peers host:port,... --state-dir DIR [--regs N]
 // `--peers` lists ALL replica endpoints in id order; the daemon listens on
 // entry I. State lives in DIR/replica-I/ (derived from --id, so replicas of
 // one cluster may share a --state-dir without sharing a WAL). Prints
-// "READY port=<p> epoch=<e>" on stdout once accepting.
+// "READY port=<p> epoch=<e>" on stdout once accepting. Every write is
+// fsync()ed and every start resyncs; an unknown argument exits 2.
 #include <signal.h>
 
 #include <algorithm>
@@ -43,7 +43,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -55,6 +54,7 @@
 
 #include "abd/remote_client.hpp"
 #include "abd/wal.hpp"
+#include "bench_util.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 
@@ -72,32 +72,7 @@ struct Args {
   std::vector<net::Endpoint> peers;
   std::string state_dir;
   std::uint64_t regs = 16;
-  bool fsync = true;
-  bool resync = true;
 };
-
-const char* flag_value(int& argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      const char* v = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      return v;
-    }
-  }
-  return nullptr;
-}
-
-bool consume_bool(int& argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      return true;
-    }
-  }
-  return false;
-}
 
 /// Replica state shared by connection handlers and the resync thread.
 /// One mutex covers memory + WAL so compaction can't race appends.
@@ -290,7 +265,8 @@ int run(const Args& args) {
     return 1;
   }
   store.wal =
-      abd::ReplicaWal::open(dir + "/wal.log", &store.state, args.fsync, &error);
+      abd::ReplicaWal::open(dir + "/wal.log", &store.state, /*fsync=*/true,
+                            &error);
   if (store.wal == nullptr) {
     std::fprintf(stderr, "abd_replicad: %s\n", error.c_str());
     return 1;
@@ -316,10 +292,7 @@ int run(const Args& args) {
   std::fflush(stdout);
 
   std::vector<std::thread> handlers;
-  std::thread resyncer;
-  if (args.resync) {
-    resyncer = std::thread([&] { resync(args.id, args, store); });
-  }
+  std::thread resyncer([&] { resync(args.id, args, store); });
   while (!g_stop.load(std::memory_order_acquire)) {
     auto conn = listener.accept(250ms);
     if (!conn.has_value()) continue;
@@ -330,7 +303,7 @@ int run(const Args& args) {
   }
   listener.close();
   for (auto& t : handlers) t.join();
-  if (resyncer.joinable()) resyncer.join();
+  resyncer.join();
   return 0;
 }
 
@@ -338,23 +311,23 @@ int run(const Args& args) {
 }  // namespace asnap
 
 int main(int argc, char** argv) {
-  using asnap::Args;
-  Args args;
-  const char* id = asnap::flag_value(argc, argv, "--id");
-  const char* peers = asnap::flag_value(argc, argv, "--peers");
-  const char* state_dir = asnap::flag_value(argc, argv, "--state-dir");
-  const char* regs = asnap::flag_value(argc, argv, "--regs");
-  args.fsync = !asnap::consume_bool(argc, argv, "--no-fsync");
-  args.resync = !asnap::consume_bool(argc, argv, "--no-resync");
-  if (id == nullptr || peers == nullptr || state_dir == nullptr) {
+  using asnap::bench::consume_flag;
+  asnap::Args args;
+  const std::string id = consume_flag(argc, argv, "--id");
+  const std::string peers = consume_flag(argc, argv, "--peers");
+  args.state_dir = consume_flag(argc, argv, "--state-dir");
+  args.regs = std::strtoull(
+      consume_flag(argc, argv, "--regs", "16").c_str(), nullptr, 10);
+  if (argc > 1 || id.empty() || peers.empty() || args.state_dir.empty()) {
+    if (argc > 1) {
+      std::fprintf(stderr, "abd_replicad: unknown argument '%s'\n", argv[1]);
+    }
     std::fprintf(stderr,
                  "usage: abd_replicad --id I --peers host:port,... "
-                 "--state-dir DIR [--regs N] [--no-fsync] [--no-resync]\n");
+                 "--state-dir DIR [--regs N]\n");
     return 2;
   }
-  args.id = std::strtoull(id, nullptr, 10);
-  args.state_dir = state_dir;
-  if (regs != nullptr) args.regs = std::strtoull(regs, nullptr, 10);
+  args.id = std::strtoull(id.c_str(), nullptr, 10);
   const auto parsed = asnap::net::parse_endpoints(peers);
   if (!parsed.has_value() || args.id >= parsed->size()) {
     std::fprintf(stderr, "abd_replicad: bad --peers/--id\n");
