@@ -196,9 +196,10 @@ fi
     --seed 42 --crash-rate 1 --loss 0.05 --delay-ms 5 --jitter-ms 2 \
     --reorder 0.01 ${netchaos_trace_args[@]+"${netchaos_trace_args[@]}"}
   # Negative control: a minority-only cluster must be CAUGHT (nonzero
-  # exit), proving the rails detect real partition-safety violations.
-  ! build/tools/chaos_run --scenario net-split --seconds 2 --writers 2 \
-    --seed 42
+  # exit), proving the rails detect real partition-safety violations. Its
+  # FAIL keeps the state dir; TMPDIR puts that under build/, not /tmp.
+  ! TMPDIR="$PWD/build" build/tools/chaos_run --scenario net-split \
+    --seconds 2 --writers 2 --seed 42
 } 2>&1 | tee results/netchaos.txt
 grep '^JSON ' results/netchaos.txt | sed 's/^JSON //' \
   > results/netchaos.jsonl
